@@ -47,15 +47,15 @@ pub use sensitivity::{fig17, fig18, fig19, fig20, Fig17, Fig18, Fig19, Fig20};
 pub use statics::{area_table, table1, table2, AreaTable, Table1, Table2};
 
 use crate::cache::PreprocessCache;
-use crate::{load_scaled, Scale};
+use crate::{ArtifactStore, Memo, Scale};
 use chgraph::{
     ChGraphRuntime, ExecutionReport, GlaRuntime, HatsVRuntime, HygraRuntime, PrefetcherRuntime,
     PreparedOags, RunConfig, Runtime,
 };
-use hyperalgos::{run_workload_prepared, self_check_prepared, Workload};
+use hyperalgos::{self_check_prepared, try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
-use hypergraph::{Hypergraph, Side};
-use std::collections::{HashMap, HashSet};
+use hypergraph::Hypergraph;
+use std::collections::HashSet;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -174,27 +174,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// A single-flight memo slot: cloned out of the table under the lock,
-/// initialized outside it. `OnceLock::get_or_init` blocks latecomers until
-/// the winner finishes, so each key is computed exactly once.
-type Slot<T> = Arc<OnceLock<T>>;
-
-fn slot_for<K, V>(table: &Mutex<HashMap<K, Slot<V>>>, key: K) -> Slot<V>
-where
-    K: std::hash::Hash + Eq,
-{
-    // Recover from poisoning rather than propagating it: the table layout
-    // is an insert-only map of Arc slots, which stays consistent even if a
-    // panic unwound through a past lock holder.
-    table.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default().clone()
-}
-
 /// Execution context of the harness: scale, machine configuration, worker
-/// threads, an optional on-disk preprocessing cache, and memos of loaded
-/// graphs, prepared OAGs and `(dataset, workload, system)` reports.
+/// threads, an unbounded [`ArtifactStore`] of loaded graphs and prepared
+/// OAGs (optionally over an on-disk preprocessing cache), and an unbounded
+/// [`Memo`] of `(dataset, workload, system)` reports.
 ///
-/// The harness is `Sync`: all memo state is behind `Mutex`/`OnceLock`, and
-/// artifacts are handed out as `Arc`s shared between workers and figure
+/// The harness is `Sync`: all memo state is behind single-flight tables,
+/// and artifacts are handed out as `Arc`s shared between workers and figure
 /// emission.
 pub struct Harness {
     /// Dataset scale.
@@ -203,10 +189,8 @@ pub struct Harness {
     pub cfg: RunConfig,
     threads: usize,
     self_check: bool,
-    cache: Option<Arc<PreprocessCache>>,
-    graphs: Mutex<HashMap<Dataset, Slot<Arc<Hypergraph>>>>,
-    prepared: Mutex<HashMap<Dataset, Slot<Arc<PreparedOags>>>>,
-    reports: Mutex<HashMap<Job, Slot<Arc<ExecutionReport>>>>,
+    store: ArtifactStore,
+    reports: Memo<Job, OnceLock<Arc<ExecutionReport>>>,
     cell_failures: Mutex<Vec<CellError>>,
     #[cfg(any(test, feature = "fault-injection"))]
     fault_hook: Option<Arc<dyn Fn(Job) + Send + Sync>>,
@@ -244,10 +228,8 @@ impl Harness {
             cfg,
             threads: 1,
             self_check: false,
-            cache: None,
-            graphs: Mutex::new(HashMap::new()),
-            prepared: Mutex::new(HashMap::new()),
-            reports: Mutex::new(HashMap::new()),
+            store: ArtifactStore::new(usize::MAX, usize::MAX, None),
+            reports: Memo::unbounded(),
             cell_failures: Mutex::new(Vec::new()),
             #[cfg(any(test, feature = "fault-injection"))]
             fault_hook: None,
@@ -287,7 +269,7 @@ impl Harness {
     /// Attaches an on-disk preprocessing cache: loaded graphs and built
     /// OAGs are persisted and restored across harness instances/processes.
     pub fn with_cache(mut self, cache: Arc<PreprocessCache>) -> Self {
-        self.cache = Some(cache);
+        self.store = ArtifactStore::new(usize::MAX, usize::MAX, Some(cache));
         self
     }
 
@@ -298,51 +280,20 @@ impl Harness {
 
     /// The attached preprocessing cache, if any (for run-log summaries).
     pub fn cache(&self) -> Option<&PreprocessCache> {
-        self.cache.as_deref()
+        self.store.disk()
     }
 
     /// The (cached) scaled stand-in hypergraph for `ds`.
     pub fn graph(&self, ds: Dataset) -> Arc<Hypergraph> {
-        slot_for(&self.graphs, ds)
-            .get_or_init(|| {
-                if let Some(cache) = &self.cache {
-                    if let Some(g) = cache.load_graph(ds, self.scale) {
-                        return Arc::new(g);
-                    }
-                }
-                let g = load_scaled(ds, self.scale);
-                if let Some(cache) = &self.cache {
-                    cache.store_graph(ds, self.scale, &g);
-                }
-                Arc::new(g)
-            })
-            .clone()
+        self.store.graph(ds, self.scale).0
     }
 
     /// The (cached) pre-built OAG pair for `ds` under the harness
-    /// configuration, shared by every chain-driven cell of the grid.
+    /// configuration, shared by every chain-driven cell of the grid and
+    /// built across the harness's worker threads.
     pub fn prepared(&self, ds: Dataset) -> Arc<PreparedOags> {
-        slot_for(&self.prepared, ds)
-            .get_or_init(|| {
-                let g = self.graph(ds);
-                let oag_cfg = self.cfg.oag;
-                let build_side = |side: Side| {
-                    if let Some(cache) = &self.cache {
-                        if let Some(hit) = cache.load_oag(&g, &oag_cfg, side) {
-                            return hit;
-                        }
-                    }
-                    let built = oag_cfg.build_with_stats_threads(&g, side, self.threads);
-                    if let Some(cache) = &self.cache {
-                        cache.store_oag(&g, &oag_cfg, side, &built.0, &built.1);
-                    }
-                    built
-                };
-                let hyperedge = build_side(Side::Hyperedge);
-                let vertex = build_side(Side::Vertex);
-                Arc::new(PreparedOags::from_parts(&g, oag_cfg, hyperedge, vertex))
-            })
-            .clone()
+        let cfg = self.cfg.with_oag_build_threads(self.threads);
+        self.store.prepared(ds, self.scale, &cfg).1
     }
 
     /// The (memoized) execution report of `workload` on `ds` under `sys`.
@@ -365,17 +316,13 @@ impl Harness {
         sys: System,
     ) -> Result<Arc<ExecutionReport>, CellError> {
         let job = (ds, workload, sys);
-        let slot = slot_for(&self.reports, job);
-        if let Some(r) = slot.get() {
-            return Ok(r.clone());
-        }
         let mut last = None;
         for _attempt in 0..=CELL_RETRIES {
-            // `OnceLock::get_or_init` leaves the cell uninitialized when
-            // the initializer panics, so the retry re-runs it; if another
-            // worker won the race meanwhile, we just get its value.
+            // A panicking initializer leaves the entry empty, so the retry
+            // re-runs it; if another worker won the race meanwhile, we just
+            // get its value.
             let run = catch_unwind(AssertUnwindSafe(|| {
-                slot.get_or_init(|| Arc::new(self.compute_report(job))).clone()
+                self.reports.get_or_init(job, || Arc::new(self.compute_report(job))).0
             }));
             match run {
                 Ok(r) => return Ok(r),
@@ -421,7 +368,8 @@ impl Harness {
                 Err(e) => panic!("self-check failed: {e}"),
             }
         } else {
-            run_workload_prepared(workload, runtime, g, cfg, prepared)
+            try_run_workload_prepared(workload, runtime, g, cfg, prepared)
+                .unwrap_or_else(|e| panic!("{}: {e}", runtime.name()))
         }
     }
 
@@ -474,7 +422,7 @@ impl Harness {
     /// Runs `workload` on `ds` under `sys` with an explicit non-memoized
     /// configuration (sensitivity sweeps). Reuses the harness's prepared
     /// OAGs when `cfg` keeps the harness's OAG parameters — permitted by
-    /// the `execute_prepared` bit-identity contract.
+    /// the `try_execute_prepared` bit-identity contract.
     pub fn run_with(
         &self,
         ds: Dataset,

@@ -127,7 +127,7 @@ mod tests {
             available_cores: 4,
             os: "linux".to_string(),
             arch: "x86_64".to_string(),
-            unix_timestamp: 1_754_524_800, // 2026-08-07 UTC
+            unix_timestamp: 1_754_524_800, // 2025-08-07 UTC
             timestamp_source: "system-clock".to_string(),
         };
         let j = m.to_json();
@@ -138,15 +138,15 @@ mod tests {
 
     #[test]
     fn civil_date_conversion() {
-        // 2026-08-07 00:00:00 UTC == 1786406400; spot-check epoch too.
+        // 2026-08-07 00:00:00 UTC == 1786060800; spot-check epoch too.
         assert_eq!(civil_from_days(0), (1970, 1, 1));
-        assert_eq!(civil_from_days(1_786_406_400 / 86_400), (2026, 8, 7));
+        assert_eq!(civil_from_days(1_786_060_800 / 86_400), (2026, 8, 7));
         let m = HostMeta {
             cpu: String::new(),
             available_cores: 1,
             os: String::new(),
             arch: String::new(),
-            unix_timestamp: 1_786_406_400,
+            unix_timestamp: 1_786_060_800,
             timestamp_source: "system-clock".to_string(),
         };
         assert_eq!(m.date(), "2026-08-07");

@@ -24,12 +24,16 @@ pub mod cache;
 pub mod faultutil;
 pub mod figures;
 pub mod hostmeta;
+pub mod memo;
 mod scale;
+mod store;
 mod table;
 
 pub use cache::{CacheStats, PreprocessCache};
 pub use hostmeta::HostMeta;
+pub use memo::{Fetch, Memo};
 pub use scale::{load_graph_scaled, load_scaled, Scale};
+pub use store::{ArtifactCounters, ArtifactStore};
 pub use table::Table;
 
 /// Default worker-thread count for the CLI binaries: the host's available

@@ -178,23 +178,6 @@ pub trait Runtime {
     fn execute(&self, g: &Hypergraph, algo: &dyn Algorithm, cfg: &RunConfig) -> ExecutionReport {
         self.try_execute(g, algo, cfg).unwrap_or_else(|e| panic!("{}: {e}", self.name()))
     }
-
-    /// Infallible convenience wrapper over
-    /// [`try_execute_prepared`](Runtime::try_execute_prepared).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ExecError`] message if the execution fails.
-    fn execute_prepared(
-        &self,
-        g: &Hypergraph,
-        algo: &dyn Algorithm,
-        cfg: &RunConfig,
-        prepared: Option<&crate::PreparedOags>,
-    ) -> ExecutionReport {
-        self.try_execute_prepared(g, algo, cfg, prepared)
-            .unwrap_or_else(|e| panic!("{}: {e}", self.name()))
-    }
 }
 
 #[cfg(test)]

@@ -212,34 +212,24 @@ impl Algorithm for BcBackward {
 /// pass, then the backward pass, returning a merged report whose state holds
 /// the dependencies (δ in the value arrays, forward σ untouched in the
 /// backward state's aux — empty).
+///
+/// # Panics
+///
+/// Panics with the [`ExecError`] message if either pass fails; use
+/// [`try_run_bc_prepared`] to keep failures typed.
 pub fn run_bc(
     runtime: &dyn Runtime,
     g: &Hypergraph,
     cfg: &RunConfig,
     source: VertexId,
 ) -> ExecutionReport {
-    run_bc_prepared(runtime, g, cfg, source, None)
-}
-
-/// [`run_bc`] with optional pre-built OAG artifacts shared by both passes.
-///
-/// # Panics
-///
-/// Panics with the [`ExecError`] message if either pass fails; use
-/// [`try_run_bc_prepared`] to keep failures typed.
-pub fn run_bc_prepared(
-    runtime: &dyn Runtime,
-    g: &Hypergraph,
-    cfg: &RunConfig,
-    source: VertexId,
-    prepared: Option<&chgraph::PreparedOags>,
-) -> ExecutionReport {
-    try_run_bc_prepared(runtime, g, cfg, source, prepared)
+    try_run_bc_prepared(runtime, g, cfg, source, None)
         .unwrap_or_else(|e| panic!("{}: {e}", runtime.name()))
 }
 
-/// Fallible [`run_bc_prepared`]: watchdog budgets and validation failures in
-/// either pass surface as a typed [`ExecError`] instead of a panic.
+/// Fallible [`run_bc`] with optional pre-built OAG artifacts shared by both
+/// passes: watchdog budgets and validation failures in either pass surface
+/// as a typed [`ExecError`] instead of a panic.
 pub fn try_run_bc_prepared(
     runtime: &dyn Runtime,
     g: &Hypergraph,

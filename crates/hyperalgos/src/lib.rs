@@ -48,7 +48,7 @@ mod sssp;
 mod workload;
 
 pub use adsorption::Adsorption;
-pub use bc::{run_bc, run_bc_prepared, try_run_bc_prepared, BcBackward, BcForward};
+pub use bc::{run_bc, try_run_bc_prepared, BcBackward, BcForward};
 pub use bfs::Bfs;
 pub use cc::ConnectedComponents;
 pub use kcore::{CoreDecomposition, KCore};
@@ -56,7 +56,4 @@ pub use mis::{Mis, MisStatus};
 pub use pagerank::PageRank;
 pub use selfcheck::{self_check, self_check_prepared, SelfCheckError, SelfCheckReport};
 pub use sssp::Sssp;
-pub use workload::{
-    default_source, run_workload, run_workload_prepared, try_run_workload,
-    try_run_workload_prepared, Workload,
-};
+pub use workload::{default_source, run_workload, try_run_workload_prepared, Workload};

@@ -75,42 +75,26 @@ impl fmt::Display for Workload {
 /// Executes `workload` on `g` under `runtime` with the standard parameters
 /// of the evaluation (source vertex 0 for traversals, k = 3 for k-core,
 /// 10 iterations for PR/Adsorption).
+///
+/// # Panics
+///
+/// Panics with the [`ExecError`] message if the execution fails; use
+/// [`try_run_workload_prepared`] to keep failures typed.
 pub fn run_workload(
     workload: Workload,
     runtime: &dyn Runtime,
     g: &Hypergraph,
     cfg: &RunConfig,
 ) -> ExecutionReport {
-    run_workload_prepared(workload, runtime, g, cfg, None)
-}
-
-/// [`run_workload`] with optional pre-built OAG artifacts. Passing
-/// `Some(prepared)` skips per-execution OAG construction for chain-driven
-/// runtimes; the report is bit-identical either way (see
-/// [`Runtime::execute_prepared`]).
-pub fn run_workload_prepared(
-    workload: Workload,
-    runtime: &dyn Runtime,
-    g: &Hypergraph,
-    cfg: &RunConfig,
-    prepared: Option<&PreparedOags>,
-) -> ExecutionReport {
-    try_run_workload_prepared(workload, runtime, g, cfg, prepared)
+    try_run_workload_prepared(workload, runtime, g, cfg, None)
         .unwrap_or_else(|e| panic!("{}: {e}", runtime.name()))
 }
 
-/// Fallible [`run_workload`]: watchdog budgets and structural-validation
-/// failures surface as a typed [`ExecError`] instead of a panic.
-pub fn try_run_workload(
-    workload: Workload,
-    runtime: &dyn Runtime,
-    g: &Hypergraph,
-    cfg: &RunConfig,
-) -> Result<ExecutionReport, ExecError> {
-    try_run_workload_prepared(workload, runtime, g, cfg, None)
-}
-
-/// Fallible [`run_workload_prepared`].
+/// Fallible [`run_workload`] with optional pre-built OAG artifacts:
+/// watchdog budgets and structural-validation failures surface as a typed
+/// [`ExecError`]. Passing `Some(prepared)` skips per-execution OAG
+/// construction for chain-driven runtimes; the report is bit-identical
+/// either way (see [`Runtime::try_execute_prepared`]).
 pub fn try_run_workload_prepared(
     workload: Workload,
     runtime: &dyn Runtime,

@@ -22,7 +22,7 @@ use std::ops::Range;
 /// assert_eq!(oag.weight(1, 2), None); // weight-1 edge filtered out
 /// assert_eq!(oag.weight(0, 2), Some(2));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct OagConfig {
     /// Minimum overlap weight for an edge to be kept. The paper empirically
     /// sets 3 (§IV-A); correctness never depends on this value.

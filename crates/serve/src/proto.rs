@@ -26,6 +26,7 @@
 //! per type, which keeps the wire schema reviewable in one place).
 
 use crate::json::{self, Json};
+pub use chg_bench::ArtifactCounters;
 use hypergraph::checksum::{HashingReader, HashingWriter};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -552,23 +553,6 @@ pub struct CloseCounters {
     pub protocol: u64,
     /// Refused at accept: concurrent-connection cap reached.
     pub conn_cap: u64,
-}
-
-/// Counter block of a [`StatsReport`]: the in-memory artifact LRU.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ArtifactCounters {
-    /// Graph lookups served from the LRU.
-    pub graph_hits: u64,
-    /// Graph lookups that built (or disk-restored) the artifact.
-    pub graph_misses: u64,
-    /// Prepared-OAG lookups served from the LRU.
-    pub oag_hits: u64,
-    /// Prepared-OAG lookups that built (or disk-restored) the artifact.
-    pub oag_misses: u64,
-    /// Lookups that waited on another request's in-flight build.
-    pub coalesced: u64,
-    /// Entries evicted by capacity pressure.
-    pub evictions: u64,
 }
 
 /// Counter block of a [`StatsReport`]: the on-disk preprocess cache

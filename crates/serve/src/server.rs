@@ -25,13 +25,12 @@
 //! drain can take: a runaway simulation trips its budget and returns a
 //! typed error instead of wedging a worker forever.
 
-use crate::lru::{ArtifactStore, Fetch};
 use crate::proto::{
     self, error_response, run_result_from_report, ArtifactSource, DiskCacheCounters, Request,
     Response, RunRequest, StatsReport,
 };
 use crate::stats::{CloseCause, Counters, LatencyHistogram};
-use chg_bench::{PreprocessCache, Scale};
+use chg_bench::{ArtifactStore, Fetch, Memo, PreprocessCache, Scale};
 use chgraph::{
     ChGraphRuntime, ExecutionReport, GlaRuntime, HatsVRuntime, HygraRuntime, PrefetcherRuntime,
     RunConfig, Runtime, WatchdogConfig,
@@ -43,7 +42,7 @@ use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How often blocked loops re-check the shutdown flag.
@@ -92,8 +91,7 @@ pub struct ServeConfig {
     /// are shed immediately with an `overloaded` reply carrying a
     /// `retry_after_ms` hint. `None` disables shedding.
     pub shed_queue_wait: Option<Duration>,
-    /// Single-flight request-key slots kept for dedup (in-flight plus most
-    /// recently completed).
+    /// Request-key dedup entries kept (in-flight plus most recently used).
     pub dedup_capacity: usize,
     /// Run crash recovery on the on-disk cache at startup: sweep every
     /// `*.tmp.*` leftover, purge `*.corrupt` quarantine residue, and make
@@ -203,96 +201,10 @@ impl BoundedQueue {
     }
 }
 
-/// A single-flight reply slot for one `request_key`: the first holder
-/// (owner) executes and publishes; every later holder blocks here and gets
-/// a clone of the identical reply.
-struct ReplySlot {
-    /// Content fingerprint of the owning request — a key reused for a
-    /// *different* request is rejected instead of served a wrong result.
-    request_fp: u64,
-    cell: Mutex<Option<Response>>,
-    ready: Condvar,
-}
-
-impl ReplySlot {
-    fn new(request_fp: u64) -> Self {
-        ReplySlot { request_fp, cell: Mutex::new(None), ready: Condvar::new() }
-    }
-
-    /// Publishes the reply and wakes every waiter.
-    fn put(&self, response: Response) {
-        let mut cell = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
-        *cell = Some(response);
-        drop(cell);
-        self.ready.notify_all();
-    }
-
-    /// Blocks until the owner publishes. The owner always publishes — its
-    /// handler thread is scoped and every execution path produces a
-    /// response — so this wait is bounded by the run's watchdog budget.
-    fn wait(&self) -> Response {
-        let mut cell = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(response) = cell.as_ref() {
-                return response.clone();
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(cell, POLL_INTERVAL)
-                .unwrap_or_else(PoisonError::into_inner);
-            cell = guard;
-        }
-    }
-}
-
-/// Outcome of claiming a request key.
-enum Claim {
-    /// This request owns the key: execute, then [`ReplySlot::put`].
-    Owner(Arc<ReplySlot>),
-    /// Another request owns (or recently completed) the key: wait on it.
-    Follower(Arc<ReplySlot>),
-    /// The key exists but for a different request body.
-    Mismatch,
-}
-
-/// The request-key dedup table: insertion-ordered `(key, slot)` pairs with
-/// a bounded capacity (completed slots linger until evicted, so a replay
-/// shortly after completion is also served without re-execution). Evicting
-/// an in-flight slot is safe — its `Arc` keeps it alive for its waiters.
-struct DedupTable {
-    inner: Mutex<VecDeque<(String, Arc<ReplySlot>)>>,
-    capacity: usize,
-}
-
-impl DedupTable {
-    fn new(capacity: usize) -> Self {
-        DedupTable { inner: Mutex::new(VecDeque::new()), capacity: capacity.max(1) }
-    }
-
-    fn claim(&self, key: &str, request_fp: u64) -> Claim {
-        let mut table = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, slot)) = table.iter().find(|(k, _)| k == key) {
-            return if slot.request_fp == request_fp {
-                Claim::Follower(slot.clone())
-            } else {
-                Claim::Mismatch
-            };
-        }
-        let slot = Arc::new(ReplySlot::new(request_fp));
-        table.push_back((key.to_string(), slot.clone()));
-        while table.len() > self.capacity {
-            table.pop_front();
-        }
-        Claim::Owner(slot)
-    }
-
-    /// Drops the key so a later retry re-executes — used when the owner's
-    /// outcome is not a cacheable result (overloaded, shutting-down, ...).
-    fn forget(&self, key: &str) {
-        let mut table = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        table.retain(|(k, _)| k != key);
-    }
-}
+/// A request-key dedup entry: the content fingerprint of the request that
+/// created it (a key reused for a *different* request is rejected instead
+/// of served a wrong result) and that request's reply, set once.
+type DedupEntry = (u64, OnceLock<Response>);
 
 /// Cloneable handle that triggers graceful shutdown from another thread
 /// (the daemon's SIGINT bridge, or tests).
@@ -324,7 +236,8 @@ struct Shared {
     store: ArtifactStore,
     queue: BoundedQueue,
     counters: Counters,
-    dedup: DedupTable,
+    /// Request-key dedup, strict LRU by last use (see [`DedupEntry`]).
+    dedup: Memo<String, DedupEntry>,
     prepare_latency: LatencyHistogram,
     execute_latency: LatencyHistogram,
     total_latency: LatencyHistogram,
@@ -536,7 +449,7 @@ impl Server {
             store: ArtifactStore::new(self.cfg.graph_lru, self.cfg.oag_lru, disk),
             queue: BoundedQueue::new(self.cfg.queue_capacity),
             counters: Counters::new(),
-            dedup: DedupTable::new(self.cfg.dedup_capacity),
+            dedup: Memo::new(self.cfg.dedup_capacity),
             prepare_latency: LatencyHistogram::new(),
             execute_latency: LatencyHistogram::new(),
             total_latency: LatencyHistogram::new(),
@@ -967,23 +880,32 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                     retry_after_ms: (threshold.as_millis() as u64).max(1),
                 };
             }
-            // Idempotent replay: a request_key claims a single-flight slot.
-            // Followers wait on the owner's slot and receive the identical
-            // reply without executing again.
-            let claimed = match &run.request_key {
-                Some(key) => match shared.dedup.claim(key, run.content_fingerprint()) {
-                    Claim::Owner(slot) => Some((key.clone(), slot)),
-                    Claim::Follower(slot) => {
+            // Idempotent replay: the first request of a key owns its dedup
+            // entry and executes; later ones wait on the owner's reply and
+            // receive it without executing again.
+            let owned = match &run.request_key {
+                Some(key) => {
+                    let fp = run.content_fingerprint();
+                    let (entry, fetch) = shared.dedup.entry(
+                        key.clone(),
+                        || (fp, OnceLock::new()),
+                        |(_, reply)| reply.get().is_some(),
+                    );
+                    if fetch != Fetch::Miss {
+                        if entry.0 != fp {
+                            return Response::Error {
+                                kind: "bad-request".into(),
+                                message: "request_key reused with a different request".into(),
+                            };
+                        }
                         shared.counters.on_deduped();
-                        return slot.wait();
+                        // The owner always sets the reply (every path below
+                        // yields a response), so this wait is bounded by the
+                        // owner's run and its watchdog budget.
+                        return entry.1.wait().clone();
                     }
-                    Claim::Mismatch => {
-                        return Response::Error {
-                            kind: "bad-request".into(),
-                            message: "request_key reused with a different request".into(),
-                        };
-                    }
-                },
+                    Some((key.clone(), entry))
+                }
                 None => None,
             };
             let (tx, rx) = mpsc::channel();
@@ -1008,14 +930,15 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                     }
                 }
             };
-            if let Some((key, slot)) = claimed {
+            if let Some((key, entry)) = owned {
                 // Only a completed run is replay-safe under this key; a
                 // transient outcome (overloaded, draining) must not be
                 // replayed to the retry that comes to fix it.
                 if !matches!(response, Response::Run(_)) {
                     shared.dedup.forget(&key);
                 }
-                slot.put(response.clone());
+                // invariant: only the owner sets its entry's reply.
+                let _ = entry.1.set(response.clone());
             }
             response
         }

@@ -21,7 +21,7 @@ use chg_serve::WireMessage;
 use chgraph::{
     ChGraphRuntime, GlaRuntime, HatsVRuntime, HygraRuntime, PrefetcherRuntime, RunConfig, Runtime,
 };
-use hyperalgos::{self_check, try_run_workload, Workload};
+use hyperalgos::{self_check, try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
 use hypergraph::{stats, Hypergraph, Side};
 use std::collections::HashMap;
@@ -187,7 +187,8 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<(), String> {
         }
         checked.report
     } else {
-        try_run_workload(workload, runtime.as_ref(), &g, &cfg).map_err(|e| format!("{e}"))?
+        try_run_workload_prepared(workload, runtime.as_ref(), &g, &cfg, None)
+            .map_err(|e| format!("{e}"))?
     };
     if json {
         // The same RunResult schema a daemon reply carries; a local run has

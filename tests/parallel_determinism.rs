@@ -121,7 +121,9 @@ fn prepared_oags_reuse_is_bit_identical_to_fresh_builds() {
     for runtime in [&GlaRuntime as &dyn Runtime, &ChGraphRuntime::new()] {
         for w in [Workload::Cc, Workload::Bfs] {
             let fresh = hyperalgos::run_workload(w, runtime, &g, &cfg);
-            let reused = hyperalgos::run_workload_prepared(w, runtime, &g, &cfg, Some(&prepared));
+            let reused =
+                hyperalgos::try_run_workload_prepared(w, runtime, &g, &cfg, Some(&prepared))
+                    .expect("prepared run");
             assert_eq!(
                 fresh,
                 reused,
@@ -138,13 +140,14 @@ fn mismatched_prepared_oags_fall_back_to_fresh_build() {
     let g = load_scaled(Dataset::LiveJournal, Scale(0.05));
     let stale = PreparedOags::build(&g, &cfg.with_oag(OagConfig::new().with_w_min(7)));
     let fresh = hyperalgos::run_workload(Workload::Cc, &ChGraphRuntime::new(), &g, &cfg);
-    let guarded = hyperalgos::run_workload_prepared(
+    let guarded = hyperalgos::try_run_workload_prepared(
         Workload::Cc,
         &ChGraphRuntime::new(),
         &g,
         &cfg,
         Some(&stale),
-    );
+    )
+    .expect("guarded run");
     assert_eq!(fresh, guarded, "config-mismatched PreparedOags must be ignored");
 }
 

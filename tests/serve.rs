@@ -14,7 +14,7 @@ use chg_serve::proto::{self, fingerprint_report};
 use chg_serve::{
     Client, ClientError, ProtoError, Request, Response, RunRequest, ServeConfig, Server,
 };
-use hyperalgos::{try_run_workload, Workload};
+use hyperalgos::{try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
 use proptest::prelude::*;
 use std::net::SocketAddr;
@@ -90,8 +90,9 @@ fn second_identical_request_hits_the_lru_with_identical_result() {
     // same config knobs, no daemon, no cache.
     let g = chg_bench::load_scaled(Dataset::LiveJournal, chg_bench::Scale(SCALE));
     let cfg = chgraph::RunConfig::new().with_oag_build_threads(1).with_max_iterations(4);
-    let direct = try_run_workload(Workload::Pr, &chgraph::ChGraphRuntime::new(), &g, &cfg)
-        .expect("direct run");
+    let direct =
+        try_run_workload_prepared(Workload::Pr, &chgraph::ChGraphRuntime::new(), &g, &cfg, None)
+            .expect("direct run");
     assert_eq!(
         first.fingerprint,
         format!("{:016x}", fingerprint_report(&direct)),
@@ -399,6 +400,76 @@ fn concurrent_duplicate_request_is_single_flighted() {
     let stats = connect(addr).stats().expect("stats");
     assert_eq!(stats.requests.deduped, 1);
     assert_eq!(stats.requests.ok, 2, "warmup + one keyed execution, not two");
+
+    let mut closer = connect(addr);
+    closer.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
+fn drain_during_a_deduped_in_flight_request_answers_owner_and_follower() {
+    let (addr, handle) = start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let keyed_heavy = || {
+        let mut req = base_request();
+        req.repeat = 120;
+        req.request_key = Some("drain-dedup".into());
+        req
+    };
+    let (owner, follower) = std::thread::scope(|s| {
+        let owner = s.spawn(move || connect(addr).run(keyed_heavy()));
+        wait_stats(addr, "owner in flight", |st| st.queue_depth == 1);
+        let follower = s.spawn(move || connect(addr).run(keyed_heavy()));
+        // `ok == 0`: the owner is still executing while the follower waits.
+        wait_stats(addr, "follower waiting on the owner", |st| {
+            st.requests.deduped == 1 && st.requests.ok == 0
+        });
+        connect(addr).shutdown().expect("shutdown ack");
+        (owner.join().expect("owner thread"), follower.join().expect("follower thread"))
+    });
+    let (owner, follower) = (owner.expect("owner run"), follower.expect("follower run"));
+    assert_eq!(owner.fingerprint, follower.fingerprint);
+    assert_eq!(owner.cycles, follower.cycles);
+
+    let stats = handle.join().expect("server thread").expect("clean exit");
+    assert_eq!(stats.requests.ok, 1, "the key executed once");
+    assert_eq!(stats.requests.deduped, 1);
+}
+
+#[test]
+fn overloaded_keyed_request_is_forgotten_and_executes_on_retry() {
+    let cfg = ServeConfig { workers: 1, queue_capacity: 1, ..ServeConfig::default() };
+    let (addr, handle) = start(cfg);
+    let warmup = connect(addr).run(base_request()).expect("warmup");
+
+    let heavy = || {
+        let mut req = base_request();
+        req.repeat = 120;
+        req
+    };
+    let mut keyed = base_request();
+    keyed.request_key = Some("retry-after-overload".into());
+    std::thread::scope(|s| {
+        let a = s.spawn(move || connect(addr).run(heavy()));
+        wait_stats(addr, "A in flight", |st| st.queue_depth == 1);
+        let b = s.spawn(move || connect(addr).run(heavy()));
+        wait_stats(addr, "B queued", |st| st.queue_depth == 2);
+        match connect(addr).run(keyed.clone()) {
+            Err(ClientError::Overloaded { .. }) => {}
+            other => panic!("the keyed request must be rejected with Overloaded, got {other:?}"),
+        }
+        a.join().expect("A thread").expect("A run");
+        b.join().expect("B thread").expect("B run");
+    });
+
+    // The queue has drained: the same key executes instead of replaying
+    // the rejection.
+    let retried = connect(addr).run(keyed).expect("retried run");
+    assert_eq!(retried.fingerprint, warmup.fingerprint);
+
+    let stats = connect(addr).stats().expect("stats");
+    assert_eq!(stats.requests.rejected_overload, 1);
+    assert_eq!(stats.requests.deduped, 0, "the overloaded reply must not be replayed");
+    assert_eq!(stats.requests.ok, 4, "warmup + A + B + the retried key");
 
     let mut closer = connect(addr);
     closer.shutdown().expect("shutdown");
