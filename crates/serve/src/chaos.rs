@@ -81,7 +81,7 @@ pub enum FaultPlan {
         /// Added latency in milliseconds.
         ms: u64,
     },
-    /// Slow-loris: forward the first [`DRIP_WINDOW`] bytes in `chunk`-sized
+    /// Slow-loris: forward the first `DRIP_WINDOW` bytes in `chunk`-sized
     /// pieces with `delay_ms` sleeps between them.
     Drip {
         /// Which direction is dripped.

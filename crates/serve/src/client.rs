@@ -23,7 +23,9 @@
 //! replays that raced a completed execution, and honors the server's
 //! `retry_after_ms` hint as a delay floor.
 
-use crate::proto::{self, ProtoError, Request, Response, RunRequest, RunResult, StatsReport};
+use crate::proto::{
+    self, ErrorKind, ProtoError, Request, Response, RunRequest, RunResult, StatsReport,
+};
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -45,7 +47,7 @@ pub enum ClientError {
     /// A typed error from the service (`kind` is stable, machine-matchable).
     Server {
         /// Stable error kind, e.g. `budget-exceeded` or `bad-request`.
-        kind: String,
+        kind: ErrorKind,
         /// Human-readable detail.
         message: String,
     },
@@ -86,11 +88,11 @@ impl ClientError {
             // sent those bytes and will do so again on every retry.
             ClientError::Proto(ProtoError::Json(_) | ProtoError::Schema(_)) => ErrorClass::Terminal,
             ClientError::Overloaded { .. } => ErrorClass::Transient,
-            ClientError::Server { kind, .. } => match kind.as_str() {
+            ClientError::Server { kind, .. } => match kind {
                 // The service closed us out for pacing reasons, or saw our
                 // request arrive mangled — both clear on a fresh attempt.
-                "shutting-down" | "timeout" => ErrorClass::Transient,
-                "protocol" => ErrorClass::WireIntegrity,
+                ErrorKind::ShuttingDown | ErrorKind::Timeout => ErrorClass::Transient,
+                ErrorKind::Protocol => ErrorClass::WireIntegrity,
                 _ => ErrorClass::Terminal,
             },
             ClientError::Unexpected(_) => ErrorClass::Terminal,
@@ -124,7 +126,9 @@ impl std::fmt::Display for ClientError {
                 }
                 write!(f, ")")
             }
-            ClientError::Server { kind, message } => write!(f, "server error [{kind}]: {message}"),
+            ClientError::Server { kind, message } => {
+                write!(f, "server error [{}]: {message}", kind.as_str())
+            }
             ClientError::Unexpected(what) => write!(f, "unexpected response variant: {what}"),
         }
     }
@@ -373,8 +377,8 @@ impl Client {
 mod tests {
     use super::*;
 
-    fn server_error(kind: &str) -> ClientError {
-        ClientError::Server { kind: kind.into(), message: String::new() }
+    fn server_error(kind: ErrorKind) -> ClientError {
+        ClientError::Server { kind, message: String::new() }
     }
 
     #[test]
@@ -388,15 +392,15 @@ mod tests {
             ClientError::Overloaded { queue_capacity: 4, retry_after_ms: 0 }.class(),
             ErrorClass::Transient
         );
-        assert_eq!(server_error("shutting-down").class(), ErrorClass::Transient);
-        assert_eq!(server_error("timeout").class(), ErrorClass::Transient);
+        assert_eq!(server_error(ErrorKind::ShuttingDown).class(), ErrorClass::Transient);
+        assert_eq!(server_error(ErrorKind::Timeout).class(), ErrorClass::Transient);
 
         assert_eq!(ClientError::Proto(ProtoError::Magic).class(), ErrorClass::WireIntegrity);
         assert_eq!(
             ClientError::Proto(ProtoError::ChecksumMismatch { stored: 1, computed: 2 }).class(),
             ErrorClass::WireIntegrity
         );
-        assert_eq!(server_error("protocol").class(), ErrorClass::WireIntegrity);
+        assert_eq!(server_error(ErrorKind::Protocol).class(), ErrorClass::WireIntegrity);
         // The version field sits in the unchecksummed header: corruption
         // can forge it, so it classifies as wire trouble, not terminal.
         assert_eq!(ClientError::Proto(ProtoError::Version(99)).class(), ErrorClass::WireIntegrity);
@@ -405,13 +409,13 @@ mod tests {
             ClientError::Proto(ProtoError::Schema("bad".into())).class(),
             ErrorClass::Terminal
         );
-        assert_eq!(server_error("bad-request").class(), ErrorClass::Terminal);
-        assert_eq!(server_error("budget-exceeded").class(), ErrorClass::Terminal);
+        assert_eq!(server_error(ErrorKind::BadRequest).class(), ErrorClass::Terminal);
+        assert_eq!(server_error(ErrorKind::BudgetExceeded).class(), ErrorClass::Terminal);
         assert_eq!(ClientError::Unexpected("x").class(), ErrorClass::Terminal);
 
         assert!(refused.is_retryable());
         assert!(ClientError::Proto(ProtoError::Magic).is_retryable());
-        assert!(!server_error("bad-request").is_retryable());
+        assert!(!server_error(ErrorKind::BadRequest).is_retryable());
     }
 
     #[test]
@@ -420,7 +424,7 @@ mod tests {
         assert_eq!(hinted.retry_after(), Some(Duration::from_millis(250)));
         let bare = ClientError::Overloaded { queue_capacity: 4, retry_after_ms: 0 };
         assert_eq!(bare.retry_after(), None);
-        assert_eq!(server_error("timeout").retry_after(), None);
+        assert_eq!(server_error(ErrorKind::Timeout).retry_after(), None);
     }
 
     #[test]

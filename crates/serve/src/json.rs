@@ -2,11 +2,11 @@
 //! recursive-descent parser.
 //!
 //! The vendored `serde` is a marker-trait stub (see `vendor/README.md`), so
-//! the wire protocol cannot serialize through it. This module is the real
-//! codec behind the serve crate's request/response types: values are built
-//! and destructured explicitly, which keeps the wire schema visible in one
-//! place (`proto.rs`) and the encoder deterministic (object keys keep their
-//! insertion order, so encoding is reproducible byte-for-byte).
+//! the wire protocol cannot serialize through it. This module is the value
+//! layer under the codec in [`proto`](crate::proto), whose schema is the
+//! field table of each message: adding a field is one line in the struct.
+//! Object keys keep their insertion order, so encoding is reproducible
+//! byte-for-byte.
 //!
 //! Numbers preserve integer exactness: `u64`/`i64` round-trip losslessly
 //! (they are *not* forced through `f64`), which matters for cycle counters

@@ -52,8 +52,8 @@ pub use chg_bench::{ArtifactStore, Fetch};
 pub use client::{Client, ClientError, ErrorClass, RetryOutcome, RetryPolicy};
 pub use proto::{
     error_response, run_result_from_report, ArtifactCounters, ArtifactSource, CloseCounters,
-    DiskCacheCounters, LatencySummary, ProtoError, Request, RequestCounters, Response, RunRequest,
-    RunResult, StatsReport, WireMessage,
+    DiskCacheCounters, ErrorKind, LatencySummary, ProtoError, Request, RequestCounters, Response,
+    RunRequest, RunResult, StatsReport, WireMessage,
 };
 pub use server::{ServeConfig, Server, ShutdownHandle};
 pub use stats::{CloseCause, Counters, LatencyHistogram};

@@ -20,10 +20,13 @@
 //!
 //! # Schema
 //!
-//! Requests and responses are serde-derived structs (the vendored `serde`
-//! is declarative-only, so the actual codec is the explicit
-//! [`Json`](crate::json::Json) mapping implemented here — one function pair
-//! per type, which keeps the wire schema reviewable in one place).
+//! The field list of each message struct is the schema: `wire_struct!`
+//! emits the struct and its [`WireMessage`] codec from one declaration,
+//! keyed by field name in declaration order, each field encoded by its type
+//! (an `Option` is `null` when `None` and may be absent). Adding a field is
+//! one line in the struct, and encoder and decoder cannot drift apart. Only
+//! the `type`-tagged envelopes of [`Request`] and [`Response`] are written
+//! by hand. A schema violation is a [`ProtoError::Schema`] naming its key.
 
 use crate::json::{self, Json};
 pub use chg_bench::ArtifactCounters;
@@ -166,47 +169,225 @@ pub trait WireMessage: Sized {
 }
 
 // ---------------------------------------------------------------------------
+// The field table
+// ---------------------------------------------------------------------------
+
+/// How one field type maps to a JSON value.
+trait WireValue: Sized {
+    fn to_wire(&self) -> Json;
+    /// Decodes a present value; the error says what was expected.
+    fn from_wire(v: &Json) -> Result<Self, ProtoError>;
+    /// What an absent key decodes to; `None` makes the key required.
+    fn absent() -> Option<Self> {
+        None
+    }
+}
+
+macro_rules! wire_ints {
+    ($($t:ty),*) => {$(
+        impl WireValue for $t {
+            fn to_wire(&self) -> Json {
+                Json::U64(*self as u64)
+            }
+            fn from_wire(v: &Json) -> Result<Self, ProtoError> {
+                match v.as_u64().map(<$t>::try_from) {
+                    Some(Ok(n)) => Ok(n),
+                    _ => schema_err(format!("expected an integer in 0..={}", <$t>::MAX)),
+                }
+            }
+        }
+    )*};
+}
+wire_ints!(u64, u32, usize);
+
+impl WireValue for f64 {
+    fn to_wire(&self) -> Json {
+        Json::F64(*self)
+    }
+    fn from_wire(v: &Json) -> Result<Self, ProtoError> {
+        v.as_f64().map_or_else(|| schema_err("expected a number"), Ok)
+    }
+}
+
+impl WireValue for bool {
+    fn to_wire(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn from_wire(v: &Json) -> Result<Self, ProtoError> {
+        v.as_bool().map_or_else(|| schema_err("expected a bool"), Ok)
+    }
+}
+
+impl WireValue for String {
+    fn to_wire(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn from_wire(v: &Json) -> Result<Self, ProtoError> {
+        v.as_str().map_or_else(|| schema_err("expected a string"), |s| Ok(s.to_string()))
+    }
+}
+
+impl<T: WireValue> WireValue for Option<T> {
+    fn to_wire(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_wire)
+    }
+    fn from_wire(v: &Json) -> Result<Self, ProtoError> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::from_wire(v).map(Some),
+        }
+    }
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
+}
+
+impl<T: WireMessage> WireValue for T {
+    fn to_wire(&self) -> Json {
+        self.to_json()
+    }
+    fn from_wire(v: &Json) -> Result<Self, ProtoError> {
+        T::from_json(v)
+    }
+}
+
+/// Decodes field `key` of the object `obj`, naming the key in any error.
+fn get<T: WireValue>(obj: &Json, key: &str) -> Result<T, ProtoError> {
+    match obj.get(key) {
+        Some(v) => T::from_wire(v).map_err(|e| match e {
+            ProtoError::Schema(msg) => ProtoError::Schema(format!("field {key:?}: {msg}")),
+            other => other,
+        }),
+        None => T::absent().map_or_else(|| schema_err(format!("missing field {key:?}")), Ok),
+    }
+}
+
+/// `{"type": tag, ..fields}`: the envelope of every request and response.
+fn tagged(tag: &str, fields: Vec<(&str, Json)>) -> Json {
+    let mut pairs = vec![("type", Json::Str(tag.into()))];
+    pairs.extend(fields);
+    Json::obj(pairs)
+}
+
+/// Declares a message struct and derives its codec from the field list
+/// (see [`wire_fields!`]).
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
+        }
+        $(check $check:path;)?
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+        wire_fields!($name { $($field),* } $(check $check;)?);
+    };
+}
+
+/// The codec of a struct from its field list: one key per field, named
+/// after it, in declaration order. The optional `check` validates the
+/// decoded value as a whole. Used directly for structs declared elsewhere.
+macro_rules! wire_fields {
+    ($name:ident { $($field:ident),* $(,)? } $(check $check:path;)?) => {
+        impl WireMessage for $name {
+            fn to_json(&self) -> Json {
+                Json::obj(vec![$((stringify!($field), self.$field.to_wire()),)*])
+            }
+            fn from_json(v: &Json) -> Result<Self, ProtoError> {
+                if !matches!(v, Json::Obj(_)) {
+                    return schema_err("expected an object");
+                }
+                let msg = $name { $($field: get(v, stringify!($field))?,)* };
+                $($check(&msg)?;)?
+                Ok(msg)
+            }
+        }
+    };
+}
+
+/// Declares a fieldless enum with one stable wire spelling per variant.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident => $wire:literal,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)*
+        }
+        impl $name {
+            /// The stable wire spelling.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $wire,)*
+                }
+            }
+        }
+        impl WireValue for $name {
+            fn to_wire(&self) -> Json {
+                Json::Str(self.as_str().into())
+            }
+            fn from_wire(v: &Json) -> Result<Self, ProtoError> {
+                match v.as_str() {
+                    $(Some($wire) => Ok($name::$variant),)*
+                    Some(other) => schema_err(format!("unknown {} {other:?}", stringify!($name))),
+                    None => schema_err("expected a string"),
+                }
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
 
-/// One execution request: dataset × workload × runtime × configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RunRequest {
-    /// Workload name (`bfs`, `pr`, `mis`, `bc`, `cc`, `kcore`, `sssp`,
-    /// `adsorption`).
-    pub workload: String,
-    /// Runtime name (`hygra`, `gla`, `chgraph`, `hcg`, `hats`,
-    /// `prefetcher`).
-    pub runtime: String,
-    /// Dataset abbreviation (`FS`, `OK`, `LJ`, `WEB`, `OG`).
-    pub dataset: String,
-    /// Dataset scale factor (1.0 = the paper-sized stand-in).
-    pub scale: f64,
-    /// Simulated core count override.
-    pub cores: Option<usize>,
-    /// OAG `W_min` override.
-    pub wmin: Option<u32>,
-    /// Chain `D_max` override.
-    pub dmax: Option<usize>,
-    /// Iteration cap override.
-    pub iters: Option<usize>,
-    /// Watchdog: simulated-cycle budget.
-    pub max_cycles: Option<u64>,
-    /// Watchdog: host wall-clock budget in milliseconds.
-    pub max_wall_ms: Option<u64>,
-    /// Diff the result against the naive reference before replying.
-    pub self_check: bool,
-    /// Deep structural validation (input, OAGs, chain covers).
-    pub validate: bool,
-    /// Execute the simulation this many times (>= 1), reporting the last
-    /// result — a load-testing knob for steady-state latency measurements;
-    /// results are identical for any value.
-    pub repeat: u32,
-    /// Idempotency key. Runs are pure functions of the request, so a replay
-    /// under the same key is safe; the server single-flights concurrent and
-    /// recent duplicates through one execution and hands every holder of
-    /// the key the identical reply. `None` opts out of deduplication.
-    pub request_key: Option<String>,
+wire_struct! {
+    /// One execution request: dataset × workload × runtime × configuration.
+    #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+    pub struct RunRequest {
+        /// Workload name (`bfs`, `pr`, `mis`, `bc`, `cc`, `kcore`, `sssp`,
+        /// `adsorption`).
+        pub workload: String,
+        /// Runtime name (`hygra`, `gla`, `chgraph`, `hcg`, `hats`,
+        /// `prefetcher`).
+        pub runtime: String,
+        /// Dataset abbreviation (`FS`, `OK`, `LJ`, `WEB`, `OG`).
+        pub dataset: String,
+        /// Dataset scale factor (1.0 = the paper-sized stand-in).
+        pub scale: f64,
+        /// Simulated core count override.
+        pub cores: Option<usize>,
+        /// OAG `W_min` override.
+        pub wmin: Option<u32>,
+        /// Chain `D_max` override.
+        pub dmax: Option<usize>,
+        /// Iteration cap override.
+        pub iters: Option<usize>,
+        /// Watchdog: simulated-cycle budget.
+        pub max_cycles: Option<u64>,
+        /// Watchdog: host wall-clock budget in milliseconds.
+        pub max_wall_ms: Option<u64>,
+        /// Diff the result against the naive reference before replying.
+        pub self_check: bool,
+        /// Deep structural validation (input, OAGs, chain covers).
+        pub validate: bool,
+        /// Execute the simulation this many times (>= 1), reporting the last
+        /// result — a load-testing knob for steady-state latency measurements;
+        /// results are identical for any value.
+        pub repeat: u32,
+        /// Idempotency key. Runs are pure functions of the request, so a replay
+        /// under the same key is safe; the server single-flights concurrent and
+        /// recent duplicates through one execution and hands every holder of
+        /// the key the identical reply. `None` opts out of deduplication.
+        pub request_key: Option<String>,
+    }
+    check RunRequest::check;
 }
 
 impl RunRequest {
@@ -246,6 +427,17 @@ impl RunRequest {
         h.update(canonical.to_json().encode().as_bytes());
         h.digest()
     }
+
+    /// The rules a well-typed request must also meet.
+    fn check(&self) -> Result<(), ProtoError> {
+        if !(self.scale.is_finite() && self.scale > 0.0) {
+            return schema_err("field \"scale\" must be a positive finite number");
+        }
+        if self.repeat == 0 {
+            return schema_err("field \"repeat\" must be at least 1");
+        }
+        Ok(())
+    }
 }
 
 /// A client request frame.
@@ -261,135 +453,24 @@ pub enum Request {
     Shutdown,
 }
 
-fn opt_u64(v: Option<u64>) -> Json {
-    v.map_or(Json::Null, Json::U64)
-}
-
-fn opt_usize(v: Option<usize>) -> Json {
-    v.map_or(Json::Null, |n| Json::U64(n as u64))
-}
-
-fn get_opt_u64(v: &Json, key: &str) -> Result<Option<u64>, ProtoError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(n) => n
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| ProtoError::Schema(format!("{key} must be a non-negative integer"))),
-    }
-}
-
-fn get_u64(v: &Json, key: &str) -> Result<u64, ProtoError> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ProtoError::Schema(format!("missing integer field {key:?}")))
-}
-
-fn get_f64(v: &Json, key: &str) -> Result<f64, ProtoError> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| ProtoError::Schema(format!("missing number field {key:?}")))
-}
-
-fn get_str(v: &Json, key: &str) -> Result<String, ProtoError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| ProtoError::Schema(format!("missing string field {key:?}")))
-}
-
-fn get_bool(v: &Json, key: &str) -> Result<bool, ProtoError> {
-    v.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| ProtoError::Schema(format!("missing bool field {key:?}")))
-}
-
-fn get_opt_str(v: &Json, key: &str) -> Result<Option<String>, ProtoError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(s) => s
-            .as_str()
-            .map(|s| Some(s.to_string()))
-            .ok_or_else(|| ProtoError::Schema(format!("{key} must be a string"))),
-    }
-}
-
-impl WireMessage for RunRequest {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("workload", Json::Str(self.workload.clone())),
-            ("runtime", Json::Str(self.runtime.clone())),
-            ("dataset", Json::Str(self.dataset.clone())),
-            ("scale", Json::F64(self.scale)),
-            ("cores", opt_usize(self.cores)),
-            ("wmin", self.wmin.map_or(Json::Null, |n| Json::U64(n as u64))),
-            ("dmax", opt_usize(self.dmax)),
-            ("iters", opt_usize(self.iters)),
-            ("max_cycles", opt_u64(self.max_cycles)),
-            ("max_wall_ms", opt_u64(self.max_wall_ms)),
-            ("self_check", Json::Bool(self.self_check)),
-            ("validate", Json::Bool(self.validate)),
-            ("repeat", Json::U64(self.repeat as u64)),
-            ("request_key", self.request_key.clone().map_or(Json::Null, Json::Str)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ProtoError> {
-        let scale = get_f64(v, "scale")?;
-        if !(scale.is_finite() && scale > 0.0) {
-            return schema_err("scale must be a positive finite number");
-        }
-        let repeat = get_u64(v, "repeat")?;
-        if repeat == 0 || repeat > u32::MAX as u64 {
-            return schema_err("repeat must be in 1..=u32::MAX");
-        }
-        Ok(RunRequest {
-            workload: get_str(v, "workload")?,
-            runtime: get_str(v, "runtime")?,
-            dataset: get_str(v, "dataset")?,
-            scale,
-            cores: get_opt_u64(v, "cores")?.map(|n| n as usize),
-            wmin: match get_opt_u64(v, "wmin")? {
-                Some(n) if n > u32::MAX as u64 => return schema_err("wmin out of range"),
-                other => other.map(|n| n as u32),
-            },
-            dmax: get_opt_u64(v, "dmax")?.map(|n| n as usize),
-            iters: get_opt_u64(v, "iters")?.map(|n| n as usize),
-            max_cycles: get_opt_u64(v, "max_cycles")?,
-            max_wall_ms: get_opt_u64(v, "max_wall_ms")?,
-            self_check: get_bool(v, "self_check")?,
-            validate: get_bool(v, "validate")?,
-            repeat: repeat as u32,
-            request_key: get_opt_str(v, "request_key")?,
-        })
-    }
-}
-
 impl WireMessage for Request {
     fn to_json(&self) -> Json {
         match self {
-            Request::Run(r) => {
-                Json::obj(vec![("type", Json::Str("run".into())), ("run", r.to_json())])
-            }
-            Request::Stats => Json::obj(vec![("type", Json::Str("stats".into()))]),
-            Request::Ping => Json::obj(vec![("type", Json::Str("ping".into()))]),
-            Request::Shutdown => Json::obj(vec![("type", Json::Str("shutdown".into()))]),
+            Request::Run(r) => tagged("run", vec![("run", r.to_json())]),
+            Request::Stats => tagged("stats", vec![]),
+            Request::Ping => tagged("ping", vec![]),
+            Request::Shutdown => tagged("shutdown", vec![]),
         }
     }
 
     fn from_json(v: &Json) -> Result<Self, ProtoError> {
-        match get_str(v, "type")?.as_str() {
-            "run" => {
-                let body = v
-                    .get("run")
-                    .ok_or_else(|| ProtoError::Schema("run request missing \"run\" body".into()))?;
-                Ok(Request::Run(RunRequest::from_json(body)?))
-            }
-            "stats" => Ok(Request::Stats),
-            "ping" => Ok(Request::Ping),
-            "shutdown" => Ok(Request::Shutdown),
-            other => schema_err(format!("unknown request type {other:?}")),
-        }
+        Ok(match get::<String>(v, "type")?.as_str() {
+            "run" => Request::Run(get(v, "run")?),
+            "stats" => Request::Stats,
+            "ping" => Request::Ping,
+            "shutdown" => Request::Shutdown,
+            other => return schema_err(format!("field \"type\": unknown request {other:?}")),
+        })
     }
 }
 
@@ -397,374 +478,206 @@ impl WireMessage for Request {
 // Responses
 // ---------------------------------------------------------------------------
 
-/// Where a run's prepared artifacts came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ArtifactSource {
-    /// Served from the in-memory LRU.
-    LruHit,
-    /// Another request was already building the same key; this one waited
-    /// for it (single-flight dedup).
-    Coalesced,
-    /// Built (possibly restored from the on-disk cache) by this request.
-    Built,
-    /// The runtime does not use prepared artifacts.
-    NotApplicable,
-}
-
-impl ArtifactSource {
-    /// The stable wire spelling (`lru-hit`, `coalesced`, `built`, `n/a`).
-    pub fn as_str(self) -> &'static str {
-        self.wire()
-    }
-
-    fn wire(self) -> &'static str {
-        match self {
-            ArtifactSource::LruHit => "lru-hit",
-            ArtifactSource::Coalesced => "coalesced",
-            ArtifactSource::Built => "built",
-            ArtifactSource::NotApplicable => "n/a",
-        }
-    }
-
-    fn from_wire(s: &str) -> Option<Self> {
-        Some(match s {
-            "lru-hit" => ArtifactSource::LruHit,
-            "coalesced" => ArtifactSource::Coalesced,
-            "built" => ArtifactSource::Built,
-            "n/a" => ArtifactSource::NotApplicable,
-            _ => return None,
-        })
+wire_enum! {
+    /// Where a run's prepared artifacts came from.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+    pub enum ArtifactSource {
+        /// Served from the in-memory LRU.
+        LruHit => "lru-hit",
+        /// Another request was already building the same key; this one waited
+        /// for it (single-flight dedup).
+        Coalesced => "coalesced",
+        /// Built (possibly restored from the on-disk cache) by this request.
+        Built => "built",
+        /// The runtime does not use prepared artifacts.
+        NotApplicable => "n/a",
     }
 }
 
-/// The machine-readable result of one execution — the same schema
-/// `chgraph-cli run --json` prints, so CLI and service output are
-/// interchangeable.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RunResult {
-    /// Runtime that executed.
-    pub runtime: String,
-    /// Algorithm that ran.
-    pub algorithm: String,
-    /// Iterations executed.
-    pub iterations: u64,
-    /// Simulated cycles of the iterative computation.
-    pub cycles: u64,
-    /// Sum over cores of busy cycles.
-    pub core_busy_cycles: u64,
-    /// Sum over cores of cycles stalled on main memory.
-    pub mem_stall_cycles: u64,
-    /// Off-chip main-memory accesses.
-    pub dram_accesses: u64,
-    /// Estimated preprocessing cycles.
-    pub preprocess_cycles: u64,
-    /// FNV-1a fingerprint over the full result (state arrays + counters),
-    /// rendered as 16 hex digits. Equal fingerprints ⇔ byte-identical
-    /// results — what the end-to-end tests compare against direct library
-    /// execution.
-    pub fingerprint: String,
-    /// Whether the result was diffed against the reference implementation.
-    pub self_checked: bool,
-    /// Where the prepared artifacts came from.
-    pub artifact_source: ArtifactSource,
-    /// Microseconds spent preparing artifacts (graph load + OAG build or
-    /// cache fetch).
-    pub prepare_micros: u64,
-    /// Microseconds spent executing (all repeats).
-    pub execute_micros: u64,
-}
-
-impl WireMessage for RunResult {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("runtime", Json::Str(self.runtime.clone())),
-            ("algorithm", Json::Str(self.algorithm.clone())),
-            ("iterations", Json::U64(self.iterations)),
-            ("cycles", Json::U64(self.cycles)),
-            ("core_busy_cycles", Json::U64(self.core_busy_cycles)),
-            ("mem_stall_cycles", Json::U64(self.mem_stall_cycles)),
-            ("dram_accesses", Json::U64(self.dram_accesses)),
-            ("preprocess_cycles", Json::U64(self.preprocess_cycles)),
-            ("fingerprint", Json::Str(self.fingerprint.clone())),
-            ("self_checked", Json::Bool(self.self_checked)),
-            ("artifact_source", Json::Str(self.artifact_source.wire().into())),
-            ("prepare_micros", Json::U64(self.prepare_micros)),
-            ("execute_micros", Json::U64(self.execute_micros)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ProtoError> {
-        let source = get_str(v, "artifact_source")?;
-        Ok(RunResult {
-            runtime: get_str(v, "runtime")?,
-            algorithm: get_str(v, "algorithm")?,
-            iterations: get_u64(v, "iterations")?,
-            cycles: get_u64(v, "cycles")?,
-            core_busy_cycles: get_u64(v, "core_busy_cycles")?,
-            mem_stall_cycles: get_u64(v, "mem_stall_cycles")?,
-            dram_accesses: get_u64(v, "dram_accesses")?,
-            preprocess_cycles: get_u64(v, "preprocess_cycles")?,
-            fingerprint: get_str(v, "fingerprint")?,
-            self_checked: get_bool(v, "self_checked")?,
-            artifact_source: ArtifactSource::from_wire(&source)
-                .ok_or_else(|| ProtoError::Schema(format!("unknown artifact source {source:?}")))?,
-            prepare_micros: get_u64(v, "prepare_micros")?,
-            execute_micros: get_u64(v, "execute_micros")?,
-        })
+wire_enum! {
+    /// Stable machine-readable category of a [`Response::Error`].
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+    pub enum ErrorKind {
+        /// A watchdog budget (cycles, wall time, stalled frontier) tripped.
+        BudgetExceeded => "budget-exceeded",
+        /// The input hypergraph failed validation.
+        InvalidInput => "invalid-input",
+        /// The machine or run configuration cannot be simulated.
+        InvalidConfig => "invalid-config",
+        /// A chain cover failed its structural proof.
+        InvalidChainCover => "invalid-chain-cover",
+        /// The result differed from the naive reference.
+        SelfCheckFailed => "self-check-failed",
+        /// The request named an unknown workload, runtime or dataset, asked
+        /// for an unusable configuration, or reused a `request_key`.
+        BadRequest => "bad-request",
+        /// The service is draining and accepts no new runs.
+        ShuttingDown => "shutting-down",
+        /// The simulator panicked or dropped its reply; the worker survived.
+        InternalPanic => "internal-panic",
+        /// A request frame stalled past the read timeout or frame deadline.
+        Timeout => "timeout",
+        /// The request frame failed protocol decoding.
+        Protocol => "protocol",
     }
 }
 
-/// Counter block of a [`StatsReport`]: request outcomes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RequestCounters {
-    /// Requests received (all types).
-    pub received: u64,
-    /// Run requests completed successfully.
-    pub ok: u64,
-    /// Run requests that failed with a typed error.
-    pub failed: u64,
-    /// Run requests rejected because the queue was full.
-    pub rejected_overload: u64,
-    /// Frames that failed protocol decoding.
-    pub protocol_errors: u64,
-    /// Run requests answered from another request's single-flight slot
-    /// (same `request_key`) without executing again.
-    pub deduped: u64,
-    /// Run requests rejected fast by degraded mode (queue-wait p95 over
-    /// the shed threshold).
-    pub shed: u64,
-}
-
-/// Counter block of a [`StatsReport`]: why connections ended, one tally per
-/// connection (plus `conn_cap`, which counts refusals at accept).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CloseCounters {
-    /// Peer closed cleanly between frames (or idle at drain).
-    pub clean: u64,
-    /// Per-read quiet-period timeout mid-frame.
-    pub read_timeout: u64,
-    /// Reply write stalled past the write timeout.
-    pub write_timeout: u64,
-    /// One frame took longer than the total frame deadline (slow-loris).
-    pub frame_deadline: u64,
-    /// Torn connection mid-frame (abrupt close, I/O error).
-    pub reset: u64,
-    /// Closed after replying to an undecodable frame.
-    pub protocol: u64,
-    /// Refused at accept: concurrent-connection cap reached.
-    pub conn_cap: u64,
-}
-
-/// Counter block of a [`StatsReport`]: the on-disk preprocess cache
-/// (mirrors [`chg_bench::cache::CacheStats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DiskCacheCounters {
-    /// Whether a disk cache is attached at all.
-    pub enabled: bool,
-    /// Graph entries served from disk.
-    pub graph_hits: u64,
-    /// Graph lookups that missed on disk.
-    pub graph_misses: u64,
-    /// OAG entries served from disk.
-    pub oag_hits: u64,
-    /// OAG lookups that missed on disk.
-    pub oag_misses: u64,
-    /// Corrupt entries quarantined.
-    pub quarantined: u64,
-}
-
-/// Latency percentiles of one phase, in microseconds.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LatencySummary {
-    /// Samples recorded.
-    pub count: u64,
-    /// Median.
-    pub p50_micros: u64,
-    /// 95th percentile.
-    pub p95_micros: u64,
-    /// 99th percentile.
-    pub p99_micros: u64,
-    /// Maximum observed.
-    pub max_micros: u64,
-}
-
-/// The `stats` response: service counters, queue state, cache statistics
-/// and per-phase latency percentiles.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct StatsReport {
-    /// Seconds since the service started.
-    pub uptime_secs: u64,
-    /// Worker threads executing requests.
-    pub workers: u64,
-    /// Bounded-queue capacity.
-    pub queue_capacity: u64,
-    /// Requests currently queued (gauge).
-    pub queue_depth: u64,
-    /// Request outcome counters.
-    pub requests: RequestCounters,
-    /// Per-cause connection-close counters.
-    pub closes: CloseCounters,
-    /// In-memory artifact LRU counters.
-    pub artifacts: ArtifactCounters,
-    /// On-disk preprocess cache counters.
-    pub disk_cache: DiskCacheCounters,
-    /// Latency of the artifact-preparation phase.
-    pub prepare_latency: LatencySummary,
-    /// Latency of the execution phase.
-    pub execute_latency: LatencySummary,
-    /// End-to-end request latency (queue wait + prepare + execute).
-    pub total_latency: LatencySummary,
-    /// Time runs spent waiting in the bounded queue before a worker popped
-    /// them — the congestion signal the degraded-mode shed watches, and the
-    /// number a retrying client's backoff is reacting to.
-    pub queue_wait_latency: LatencySummary,
-}
-
-impl WireMessage for LatencySummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("count", Json::U64(self.count)),
-            ("p50_micros", Json::U64(self.p50_micros)),
-            ("p95_micros", Json::U64(self.p95_micros)),
-            ("p99_micros", Json::U64(self.p99_micros)),
-            ("max_micros", Json::U64(self.max_micros)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ProtoError> {
-        Ok(LatencySummary {
-            count: get_u64(v, "count")?,
-            p50_micros: get_u64(v, "p50_micros")?,
-            p95_micros: get_u64(v, "p95_micros")?,
-            p99_micros: get_u64(v, "p99_micros")?,
-            max_micros: get_u64(v, "max_micros")?,
-        })
+wire_struct! {
+    /// The machine-readable result of one execution — the same schema
+    /// `chgraph-cli run --json` prints, so CLI and service output are
+    /// interchangeable.
+    #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+    pub struct RunResult {
+        /// Runtime that executed.
+        pub runtime: String,
+        /// Algorithm that ran.
+        pub algorithm: String,
+        /// Iterations executed.
+        pub iterations: u64,
+        /// Simulated cycles of the iterative computation.
+        pub cycles: u64,
+        /// Sum over cores of busy cycles.
+        pub core_busy_cycles: u64,
+        /// Sum over cores of cycles stalled on main memory.
+        pub mem_stall_cycles: u64,
+        /// Off-chip main-memory accesses.
+        pub dram_accesses: u64,
+        /// Estimated preprocessing cycles.
+        pub preprocess_cycles: u64,
+        /// FNV-1a fingerprint over the full result (state arrays + counters),
+        /// rendered as 16 hex digits. Equal fingerprints ⇔ byte-identical
+        /// results — what the end-to-end tests compare against direct library
+        /// execution.
+        pub fingerprint: String,
+        /// Whether the result was diffed against the reference implementation.
+        pub self_checked: bool,
+        /// Where the prepared artifacts came from.
+        pub artifact_source: ArtifactSource,
+        /// Microseconds spent preparing artifacts (graph load + OAG build or
+        /// cache fetch).
+        pub prepare_micros: u64,
+        /// Microseconds spent executing (all repeats).
+        pub execute_micros: u64,
     }
 }
 
-impl WireMessage for StatsReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("uptime_secs", Json::U64(self.uptime_secs)),
-            ("workers", Json::U64(self.workers)),
-            ("queue_capacity", Json::U64(self.queue_capacity)),
-            ("queue_depth", Json::U64(self.queue_depth)),
-            (
-                "requests",
-                Json::obj(vec![
-                    ("received", Json::U64(self.requests.received)),
-                    ("ok", Json::U64(self.requests.ok)),
-                    ("failed", Json::U64(self.requests.failed)),
-                    ("rejected_overload", Json::U64(self.requests.rejected_overload)),
-                    ("protocol_errors", Json::U64(self.requests.protocol_errors)),
-                    ("deduped", Json::U64(self.requests.deduped)),
-                    ("shed", Json::U64(self.requests.shed)),
-                ]),
-            ),
-            (
-                "closes",
-                Json::obj(vec![
-                    ("clean", Json::U64(self.closes.clean)),
-                    ("read_timeout", Json::U64(self.closes.read_timeout)),
-                    ("write_timeout", Json::U64(self.closes.write_timeout)),
-                    ("frame_deadline", Json::U64(self.closes.frame_deadline)),
-                    ("reset", Json::U64(self.closes.reset)),
-                    ("protocol", Json::U64(self.closes.protocol)),
-                    ("conn_cap", Json::U64(self.closes.conn_cap)),
-                ]),
-            ),
-            (
-                "artifacts",
-                Json::obj(vec![
-                    ("graph_hits", Json::U64(self.artifacts.graph_hits)),
-                    ("graph_misses", Json::U64(self.artifacts.graph_misses)),
-                    ("oag_hits", Json::U64(self.artifacts.oag_hits)),
-                    ("oag_misses", Json::U64(self.artifacts.oag_misses)),
-                    ("coalesced", Json::U64(self.artifacts.coalesced)),
-                    ("evictions", Json::U64(self.artifacts.evictions)),
-                ]),
-            ),
-            (
-                "disk_cache",
-                Json::obj(vec![
-                    ("enabled", Json::Bool(self.disk_cache.enabled)),
-                    ("graph_hits", Json::U64(self.disk_cache.graph_hits)),
-                    ("graph_misses", Json::U64(self.disk_cache.graph_misses)),
-                    ("oag_hits", Json::U64(self.disk_cache.oag_hits)),
-                    ("oag_misses", Json::U64(self.disk_cache.oag_misses)),
-                    ("quarantined", Json::U64(self.disk_cache.quarantined)),
-                ]),
-            ),
-            ("prepare_latency", self.prepare_latency.to_json()),
-            ("execute_latency", self.execute_latency.to_json()),
-            ("total_latency", self.total_latency.to_json()),
-            ("queue_wait_latency", self.queue_wait_latency.to_json()),
-        ])
+wire_struct! {
+    /// Counter block of a [`StatsReport`]: request outcomes.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct RequestCounters {
+        /// Requests received (all types).
+        pub received: u64,
+        /// Run requests completed successfully.
+        pub ok: u64,
+        /// Run requests that failed with a typed error.
+        pub failed: u64,
+        /// Run requests rejected because the queue was full.
+        pub rejected_overload: u64,
+        /// Frames that failed protocol decoding.
+        pub protocol_errors: u64,
+        /// Run requests answered from another request's single-flight slot
+        /// (same `request_key`) without executing again.
+        pub deduped: u64,
+        /// Run requests rejected fast by degraded mode (queue-wait p95 over
+        /// the shed threshold).
+        pub shed: u64,
     }
+}
 
-    fn from_json(v: &Json) -> Result<Self, ProtoError> {
-        let req = v.get("requests").ok_or_else(|| ProtoError::Schema("missing requests".into()))?;
-        let cls = v.get("closes").ok_or_else(|| ProtoError::Schema("missing closes".into()))?;
-        let art =
-            v.get("artifacts").ok_or_else(|| ProtoError::Schema("missing artifacts".into()))?;
-        let disk =
-            v.get("disk_cache").ok_or_else(|| ProtoError::Schema("missing disk_cache".into()))?;
-        Ok(StatsReport {
-            uptime_secs: get_u64(v, "uptime_secs")?,
-            workers: get_u64(v, "workers")?,
-            queue_capacity: get_u64(v, "queue_capacity")?,
-            queue_depth: get_u64(v, "queue_depth")?,
-            requests: RequestCounters {
-                received: get_u64(req, "received")?,
-                ok: get_u64(req, "ok")?,
-                failed: get_u64(req, "failed")?,
-                rejected_overload: get_u64(req, "rejected_overload")?,
-                protocol_errors: get_u64(req, "protocol_errors")?,
-                deduped: get_u64(req, "deduped")?,
-                shed: get_u64(req, "shed")?,
-            },
-            closes: CloseCounters {
-                clean: get_u64(cls, "clean")?,
-                read_timeout: get_u64(cls, "read_timeout")?,
-                write_timeout: get_u64(cls, "write_timeout")?,
-                frame_deadline: get_u64(cls, "frame_deadline")?,
-                reset: get_u64(cls, "reset")?,
-                protocol: get_u64(cls, "protocol")?,
-                conn_cap: get_u64(cls, "conn_cap")?,
-            },
-            artifacts: ArtifactCounters {
-                graph_hits: get_u64(art, "graph_hits")?,
-                graph_misses: get_u64(art, "graph_misses")?,
-                oag_hits: get_u64(art, "oag_hits")?,
-                oag_misses: get_u64(art, "oag_misses")?,
-                coalesced: get_u64(art, "coalesced")?,
-                evictions: get_u64(art, "evictions")?,
-            },
-            disk_cache: DiskCacheCounters {
-                enabled: get_bool(disk, "enabled")?,
-                graph_hits: get_u64(disk, "graph_hits")?,
-                graph_misses: get_u64(disk, "graph_misses")?,
-                oag_hits: get_u64(disk, "oag_hits")?,
-                oag_misses: get_u64(disk, "oag_misses")?,
-                quarantined: get_u64(disk, "quarantined")?,
-            },
-            prepare_latency: LatencySummary::from_json(
-                v.get("prepare_latency")
-                    .ok_or_else(|| ProtoError::Schema("missing prepare_latency".into()))?,
-            )?,
-            execute_latency: LatencySummary::from_json(
-                v.get("execute_latency")
-                    .ok_or_else(|| ProtoError::Schema("missing execute_latency".into()))?,
-            )?,
-            total_latency: LatencySummary::from_json(
-                v.get("total_latency")
-                    .ok_or_else(|| ProtoError::Schema("missing total_latency".into()))?,
-            )?,
-            queue_wait_latency: LatencySummary::from_json(
-                v.get("queue_wait_latency")
-                    .ok_or_else(|| ProtoError::Schema("missing queue_wait_latency".into()))?,
-            )?,
-        })
+wire_struct! {
+    /// Counter block of a [`StatsReport`]: why connections ended, one tally per
+    /// connection (plus `conn_cap`, which counts refusals at accept).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct CloseCounters {
+        /// Peer closed cleanly between frames (or idle at drain).
+        pub clean: u64,
+        /// Per-read quiet-period timeout mid-frame.
+        pub read_timeout: u64,
+        /// Reply write stalled past the write timeout.
+        pub write_timeout: u64,
+        /// One frame took longer than the total frame deadline (slow-loris).
+        pub frame_deadline: u64,
+        /// Torn connection mid-frame (abrupt close, I/O error).
+        pub reset: u64,
+        /// Closed after replying to an undecodable frame.
+        pub protocol: u64,
+        /// Refused at accept: concurrent-connection cap reached.
+        pub conn_cap: u64,
+    }
+}
+
+wire_fields! {
+    ArtifactCounters { graph_hits, graph_misses, oag_hits, oag_misses, coalesced, evictions }
+}
+
+wire_struct! {
+    /// Counter block of a [`StatsReport`]: the on-disk preprocess cache
+    /// (mirrors [`chg_bench::cache::CacheStats`]).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct DiskCacheCounters {
+        /// Whether a disk cache is attached at all.
+        pub enabled: bool,
+        /// Graph entries served from disk.
+        pub graph_hits: u64,
+        /// Graph lookups that missed on disk.
+        pub graph_misses: u64,
+        /// OAG entries served from disk.
+        pub oag_hits: u64,
+        /// OAG lookups that missed on disk.
+        pub oag_misses: u64,
+        /// Corrupt entries quarantined.
+        pub quarantined: u64,
+    }
+}
+
+wire_struct! {
+    /// Latency percentiles of one phase, in microseconds.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct LatencySummary {
+        /// Samples recorded.
+        pub count: u64,
+        /// Median.
+        pub p50_micros: u64,
+        /// 95th percentile.
+        pub p95_micros: u64,
+        /// 99th percentile.
+        pub p99_micros: u64,
+        /// Maximum observed.
+        pub max_micros: u64,
+    }
+}
+
+wire_struct! {
+    /// The `stats` response: service counters, queue state, cache statistics
+    /// and per-phase latency percentiles.
+    #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+    pub struct StatsReport {
+        /// Seconds since the service started.
+        pub uptime_secs: u64,
+        /// Worker threads executing requests.
+        pub workers: u64,
+        /// Bounded-queue capacity.
+        pub queue_capacity: u64,
+        /// Requests currently queued (gauge).
+        pub queue_depth: u64,
+        /// Request outcome counters.
+        pub requests: RequestCounters,
+        /// Per-cause connection-close counters.
+        pub closes: CloseCounters,
+        /// In-memory artifact LRU counters.
+        pub artifacts: ArtifactCounters,
+        /// On-disk preprocess cache counters.
+        pub disk_cache: DiskCacheCounters,
+        /// Latency of the artifact-preparation phase.
+        pub prepare_latency: LatencySummary,
+        /// Latency of the execution phase.
+        pub execute_latency: LatencySummary,
+        /// End-to-end request latency (queue wait + prepare + execute).
+        pub total_latency: LatencySummary,
+        /// Time runs spent waiting in the bounded queue before a worker popped
+        /// them — the congestion signal the degraded-mode shed watches, and the
+        /// number a retrying client's backoff is reacting to.
+        pub queue_wait_latency: LatencySummary,
     }
 }
 
@@ -792,11 +705,8 @@ pub enum Response {
     },
     /// A run failed with a typed error.
     Error {
-        /// Stable machine-readable error category (`budget-exceeded`,
-        /// `invalid-input`, `invalid-config`, `invalid-chain-cover`,
-        /// `self-check-failed`, `bad-request`, `shutting-down`,
-        /// `internal-panic`, `timeout`, `protocol`).
-        kind: String,
+        /// Stable machine-readable error category.
+        kind: ErrorKind,
         /// Human-readable detail.
         message: String,
     },
@@ -811,52 +721,37 @@ pub enum Response {
 impl WireMessage for Response {
     fn to_json(&self) -> Json {
         match self {
-            Response::Run(r) => {
-                Json::obj(vec![("type", Json::Str("run".into())), ("result", r.to_json())])
+            Response::Run(r) => tagged("run", vec![("result", r.to_json())]),
+            Response::Overloaded { queue_capacity, retry_after_ms } => tagged(
+                "overloaded",
+                vec![
+                    ("queue_capacity", queue_capacity.to_wire()),
+                    ("retry_after_ms", retry_after_ms.to_wire()),
+                ],
+            ),
+            Response::Error { kind, message } => {
+                tagged("error", vec![("kind", kind.to_wire()), ("message", message.to_wire())])
             }
-            Response::Overloaded { queue_capacity, retry_after_ms } => Json::obj(vec![
-                ("type", Json::Str("overloaded".into())),
-                ("queue_capacity", Json::U64(*queue_capacity)),
-                ("retry_after_ms", Json::U64(*retry_after_ms)),
-            ]),
-            Response::Error { kind, message } => Json::obj(vec![
-                ("type", Json::Str("error".into())),
-                ("kind", Json::Str(kind.clone())),
-                ("message", Json::Str(message.clone())),
-            ]),
-            Response::Stats(s) => {
-                Json::obj(vec![("type", Json::Str("stats".into())), ("stats", s.to_json())])
-            }
-            Response::Pong => Json::obj(vec![("type", Json::Str("pong".into()))]),
-            Response::ShuttingDown => Json::obj(vec![("type", Json::Str("shutting-down".into()))]),
+            Response::Stats(s) => tagged("stats", vec![("stats", s.to_json())]),
+            Response::Pong => tagged("pong", vec![]),
+            Response::ShuttingDown => tagged("shutting-down", vec![]),
         }
     }
 
     fn from_json(v: &Json) -> Result<Self, ProtoError> {
-        match get_str(v, "type")?.as_str() {
-            "run" => {
-                let body = v
-                    .get("result")
-                    .ok_or_else(|| ProtoError::Schema("run response missing result".into()))?;
-                Ok(Response::Run(RunResult::from_json(body)?))
-            }
-            "overloaded" => Ok(Response::Overloaded {
-                queue_capacity: get_u64(v, "queue_capacity")?,
-                retry_after_ms: get_opt_u64(v, "retry_after_ms")?.unwrap_or(0),
-            }),
-            "error" => {
-                Ok(Response::Error { kind: get_str(v, "kind")?, message: get_str(v, "message")? })
-            }
-            "stats" => {
-                let body = v
-                    .get("stats")
-                    .ok_or_else(|| ProtoError::Schema("stats response missing stats".into()))?;
-                Ok(Response::Stats(StatsReport::from_json(body)?))
-            }
-            "pong" => Ok(Response::Pong),
-            "shutting-down" => Ok(Response::ShuttingDown),
-            other => schema_err(format!("unknown response type {other:?}")),
-        }
+        Ok(match get::<String>(v, "type")?.as_str() {
+            "run" => Response::Run(get(v, "result")?),
+            "overloaded" => Response::Overloaded {
+                queue_capacity: get(v, "queue_capacity")?,
+                // Peers older than the hint omit it: no hint.
+                retry_after_ms: get::<Option<u64>>(v, "retry_after_ms")?.unwrap_or(0),
+            },
+            "error" => Response::Error { kind: get(v, "kind")?, message: get(v, "message")? },
+            "stats" => Response::Stats(get(v, "stats")?),
+            "pong" => Response::Pong,
+            "shutting-down" => Response::ShuttingDown,
+            other => return schema_err(format!("field \"type\": unknown response {other:?}")),
+        })
     }
 }
 
@@ -922,12 +817,12 @@ pub fn run_result_from_report(
 /// Maps a typed execution error onto the wire error categories.
 pub fn error_response(e: &chgraph::ExecError) -> Response {
     let kind = match e {
-        chgraph::ExecError::BudgetExceeded { .. } => "budget-exceeded",
-        chgraph::ExecError::InvalidChainCover { .. } => "invalid-chain-cover",
-        chgraph::ExecError::InvalidInput(_) => "invalid-input",
-        chgraph::ExecError::InvalidConfig(_) => "invalid-config",
+        chgraph::ExecError::BudgetExceeded { .. } => ErrorKind::BudgetExceeded,
+        chgraph::ExecError::InvalidChainCover { .. } => ErrorKind::InvalidChainCover,
+        chgraph::ExecError::InvalidInput(_) => ErrorKind::InvalidInput,
+        chgraph::ExecError::InvalidConfig(_) => ErrorKind::InvalidConfig,
     };
-    Response::Error { kind: kind.into(), message: e.to_string() }
+    Response::Error { kind, message: e.to_string() }
 }
 
 #[cfg(test)]
@@ -953,25 +848,63 @@ mod tests {
         }
     }
 
-    #[test]
-    fn request_round_trips() {
-        for req in [
-            Request::Run(sample_run_request()),
-            Request::Run(RunRequest::new("bfs", "hygra", "WEB")),
-            Request::Stats,
-            Request::Ping,
-            Request::Shutdown,
-        ] {
-            let mut buf = Vec::new();
-            send(&mut buf, &req).unwrap();
-            let back: Request = recv(&mut &buf[..]).unwrap();
-            assert_eq!(back, req);
+    /// A stats report with a distinct non-zero value in every field.
+    fn golden_stats() -> StatsReport {
+        let latency = |base: u64| LatencySummary {
+            count: base,
+            p50_micros: base + 1,
+            p95_micros: base + 2,
+            p99_micros: base + 3,
+            max_micros: base + 4,
+        };
+        StatsReport {
+            uptime_secs: 1,
+            workers: 2,
+            queue_capacity: 3,
+            queue_depth: 4,
+            requests: RequestCounters {
+                received: 5,
+                ok: 6,
+                failed: 7,
+                rejected_overload: 8,
+                protocol_errors: 9,
+                deduped: 10,
+                shed: 11,
+            },
+            closes: CloseCounters {
+                clean: 12,
+                read_timeout: 13,
+                write_timeout: 14,
+                frame_deadline: 15,
+                reset: 16,
+                protocol: 17,
+                conn_cap: 18,
+            },
+            artifacts: ArtifactCounters {
+                graph_hits: 19,
+                graph_misses: 20,
+                oag_hits: 21,
+                oag_misses: 22,
+                coalesced: 23,
+                evictions: 24,
+            },
+            disk_cache: DiskCacheCounters {
+                enabled: true,
+                graph_hits: 25,
+                graph_misses: 26,
+                oag_hits: 27,
+                oag_misses: 28,
+                quarantined: 29,
+            },
+            prepare_latency: latency(30),
+            execute_latency: latency(35),
+            total_latency: latency(40),
+            queue_wait_latency: latency(45),
         }
     }
 
-    #[test]
-    fn response_round_trips() {
-        let result = RunResult {
+    fn golden_run_result() -> RunResult {
+        RunResult {
             runtime: "chgraph".into(),
             algorithm: "pagerank".into(),
             iterations: 10,
@@ -985,19 +918,84 @@ mod tests {
             artifact_source: ArtifactSource::Coalesced,
             prepare_micros: 1,
             execute_micros: 2,
-        };
-        for resp in [
-            Response::Run(result),
-            Response::Overloaded { queue_capacity: 8, retry_after_ms: 250 },
-            Response::Error { kind: "budget-exceeded".into(), message: "cycle budget".into() },
-            Response::Stats(StatsReport::default()),
-            Response::Pong,
-            Response::ShuttingDown,
-        ] {
+        }
+    }
+
+    /// A run request with every option and flag set.
+    fn golden_full_request() -> RunRequest {
+        RunRequest { validate: true, ..sample_run_request() }
+    }
+
+    /// Every request variant with its exact wire encoding.
+    fn golden_requests() -> Vec<(Request, &'static str)> {
+        vec![
+            (
+                Request::Run(golden_full_request()),
+                r#"{"type":"run","run":{"workload":"pr","runtime":"chgraph","dataset":"LJ","scale":0.05,"cores":4,"wmin":3,"dmax":16,"iters":5,"max_cycles":123456789012,"max_wall_ms":2000,"self_check":true,"validate":true,"repeat":3,"request_key":"retry-key-01"}}"#,
+            ),
+            (
+                Request::Run(RunRequest::new("bfs", "hygra", "WEB")),
+                r#"{"type":"run","run":{"workload":"bfs","runtime":"hygra","dataset":"WEB","scale":1.0,"cores":null,"wmin":null,"dmax":null,"iters":null,"max_cycles":null,"max_wall_ms":null,"self_check":false,"validate":false,"repeat":1,"request_key":null}}"#,
+            ),
+            (Request::Stats, r#"{"type":"stats"}"#),
+            (Request::Ping, r#"{"type":"ping"}"#),
+            (Request::Shutdown, r#"{"type":"shutdown"}"#),
+        ]
+    }
+
+    /// Every response variant with its exact wire encoding.
+    fn golden_responses() -> Vec<(Response, &'static str)> {
+        vec![
+            (
+                Response::Run(golden_run_result()),
+                r#"{"type":"run","result":{"runtime":"chgraph","algorithm":"pagerank","iterations":10,"cycles":18446744073709551608,"core_busy_cycles":123,"mem_stall_cycles":45,"dram_accesses":678,"preprocess_cycles":90,"fingerprint":"00deadbeef001234","self_checked":true,"artifact_source":"coalesced","prepare_micros":1,"execute_micros":2}}"#,
+            ),
+            (
+                Response::Overloaded { queue_capacity: 8, retry_after_ms: 250 },
+                r#"{"type":"overloaded","queue_capacity":8,"retry_after_ms":250}"#,
+            ),
+            (
+                error_response(&chgraph::ExecError::InvalidConfig("too many cores".into())),
+                r#"{"type":"error","kind":"invalid-config","message":"invalid run configuration: too many cores"}"#,
+            ),
+            (
+                Response::Stats(golden_stats()),
+                r#"{"type":"stats","stats":{"uptime_secs":1,"workers":2,"queue_capacity":3,"queue_depth":4,"requests":{"received":5,"ok":6,"failed":7,"rejected_overload":8,"protocol_errors":9,"deduped":10,"shed":11},"closes":{"clean":12,"read_timeout":13,"write_timeout":14,"frame_deadline":15,"reset":16,"protocol":17,"conn_cap":18},"artifacts":{"graph_hits":19,"graph_misses":20,"oag_hits":21,"oag_misses":22,"coalesced":23,"evictions":24},"disk_cache":{"enabled":true,"graph_hits":25,"graph_misses":26,"oag_hits":27,"oag_misses":28,"quarantined":29},"prepare_latency":{"count":30,"p50_micros":31,"p95_micros":32,"p99_micros":33,"max_micros":34},"execute_latency":{"count":35,"p50_micros":36,"p95_micros":37,"p99_micros":38,"max_micros":39},"total_latency":{"count":40,"p50_micros":41,"p95_micros":42,"p99_micros":43,"max_micros":44},"queue_wait_latency":{"count":45,"p50_micros":46,"p95_micros":47,"p99_micros":48,"max_micros":49}}}"#,
+            ),
+            (Response::Pong, r#"{"type":"pong"}"#),
+            (Response::ShuttingDown, r#"{"type":"shutting-down"}"#),
+        ]
+    }
+
+    /// Pins the exact bytes of every message variant: a renamed, reordered
+    /// or retyped key fails here even where a round trip would still pass.
+    #[test]
+    fn golden_wire_encodings() {
+        for (req, wire) in golden_requests() {
+            assert_eq!(req.to_json().encode(), wire);
+            assert_eq!(Request::from_json(&json::parse(wire).unwrap()).unwrap(), req);
+        }
+        for (resp, wire) in golden_responses() {
+            assert_eq!(resp.to_json().encode(), wire);
+            assert_eq!(Response::from_json(&json::parse(wire).unwrap()).unwrap(), resp);
+        }
+        assert_eq!(
+            format!("{:016x}", golden_full_request().content_fingerprint()),
+            "2be141901fe9f6a0"
+        );
+    }
+
+    #[test]
+    fn every_message_round_trips_through_a_frame() {
+        for (req, _) in golden_requests() {
+            let mut buf = Vec::new();
+            send(&mut buf, &req).unwrap();
+            assert_eq!(recv::<_, Request>(&mut &buf[..]).unwrap(), req);
+        }
+        for (resp, _) in golden_responses() {
             let mut buf = Vec::new();
             send(&mut buf, &resp).unwrap();
-            let back: Response = recv(&mut &buf[..]).unwrap();
-            assert_eq!(back, resp);
+            assert_eq!(recv::<_, Response>(&mut &buf[..]).unwrap(), resp);
         }
     }
 
@@ -1047,6 +1045,75 @@ mod tests {
         }
     }
 
+    /// Decodes `v` as `M` and encodes the result again.
+    fn reencode<M: WireMessage>(v: &Json) -> Result<Json, ProtoError> {
+        M::from_json(v).map(|m| m.to_json())
+    }
+
+    type Decode = fn(&Json) -> Result<Json, ProtoError>;
+
+    /// Every golden message, encoded, with its decoder.
+    fn golden_cases() -> Vec<(Json, Decode)> {
+        let requests = golden_requests()
+            .into_iter()
+            .map(|(m, _)| (m.to_json(), reencode::<Request> as Decode));
+        let responses = golden_responses()
+            .into_iter()
+            .map(|(m, _)| (m.to_json(), reencode::<Response> as Decode));
+        requests.chain(responses).collect()
+    }
+
+    /// Every key path of `v`, parents before their children.
+    fn key_paths(v: &Json) -> Vec<Vec<String>> {
+        let Json::Obj(pairs) = v else { return Vec::new() };
+        let mut paths = Vec::new();
+        for (key, child) in pairs {
+            paths.push(vec![key.clone()]);
+            for mut rest in key_paths(child) {
+                rest.insert(0, key.clone());
+                paths.push(rest);
+            }
+        }
+        paths
+    }
+
+    /// `v` with the key at `path` set to `value`, or removed for `None`.
+    fn edit(v: &Json, path: &[String], value: Option<&Json>) -> Json {
+        let Json::Obj(pairs) = v else { panic!("{path:?} does not lead through objects") };
+        let mut pairs = pairs.clone();
+        let i = pairs.iter().position(|(k, _)| *k == path[0]).expect("key exists");
+        match (&path[1..], value) {
+            ([], None) => {
+                pairs.remove(i);
+            }
+            ([], Some(value)) => pairs[i].1 = value.clone(),
+            (rest, value) => pairs[i].1 = edit(&pairs[i].1, rest, value),
+        }
+        Json::Obj(pairs)
+    }
+
+    /// `decode(v)` must fail with a schema error naming every key of `path`.
+    fn assert_rejects(decode: Decode, v: &Json, path: &[String]) {
+        match decode(v) {
+            Err(ProtoError::Schema(msg)) => {
+                assert!(path.iter().all(|k| msg.contains(&format!("{k:?}"))), "{path:?}: {msg}")
+            }
+            other => panic!("{v}: expected a schema error naming {path:?}, got {other:?}"),
+        }
+    }
+
+    /// What an absent or `null` key decodes to; `None` for required keys.
+    fn absent_value(key: &str) -> Option<Json> {
+        match key {
+            "cores" | "wmin" | "dmax" | "iters" | "max_cycles" | "max_wall_ms" | "request_key" => {
+                Some(Json::Null)
+            }
+            // Peers older than the retry hint omit it.
+            "retry_after_ms" => Some(Json::U64(0)),
+            _ => None,
+        }
+    }
+
     #[test]
     fn schema_violations_are_typed() {
         for bad in ["{\"type\":\"run\"}", "{\"type\":\"nope\"}", "{}", "[1,2,3]"] {
@@ -1057,14 +1124,40 @@ mod tests {
                 "{bad} must fail schema validation"
             );
         }
-    }
-
-    #[test]
-    fn zero_repeat_is_rejected() {
-        let mut req = sample_run_request();
-        req.repeat = 0;
-        let v = req.to_json();
-        assert!(RunRequest::from_json(&v).is_err());
+        // Every key of every message: the wrong JSON type is rejected, and
+        // an absent or null key is rejected or decodes to its default.
+        for (golden, decode) in golden_cases() {
+            for path in key_paths(&golden) {
+                assert_rejects(decode, &edit(&golden, &path, Some(&Json::Arr(vec![]))), &path);
+                let dropped = [edit(&golden, &path, None), edit(&golden, &path, Some(&Json::Null))];
+                match absent_value(path.last().unwrap()) {
+                    Some(default) => {
+                        let expected = edit(&golden, &path, Some(&default));
+                        for v in dropped {
+                            assert_eq!(decode(&v).unwrap(), expected, "{path:?}");
+                        }
+                    }
+                    None => dropped.iter().for_each(|v| assert_rejects(decode, v, &path)),
+                }
+            }
+        }
+        // Well-typed values the schema still rules out.
+        let key = |path: &[&str]| path.iter().map(|k| k.to_string()).collect::<Vec<_>>();
+        let too_big = Json::U64(u32::MAX as u64 + 1);
+        let cases = golden_cases();
+        let (run, result, error) = (&cases[0], &cases[5], &cases[7]);
+        for (case, path, value) in [
+            (run, key(&["run", "wmin"]), too_big.clone()),
+            (run, key(&["run", "repeat"]), too_big),
+            (run, key(&["run", "repeat"]), Json::U64(0)),
+            (run, key(&["run", "scale"]), Json::F64(0.0)),
+            (run, key(&["run", "scale"]), Json::I64(-1)),
+            (result, key(&["result", "artifact_source"]), Json::Str("nope".into())),
+            (error, key(&["kind"]), Json::Str("nope".into())),
+            (error, key(&["type"]), Json::Str("nope".into())),
+        ] {
+            assert_rejects(case.1, &edit(&case.0, &path, Some(&value)), &path);
+        }
     }
 
     #[test]
@@ -1076,31 +1169,5 @@ mod tests {
         assert_eq!(a.content_fingerprint(), b.content_fingerprint());
         b.iters = Some(6);
         assert_ne!(a.content_fingerprint(), b.content_fingerprint());
-    }
-
-    #[test]
-    fn missing_retry_hint_decodes_as_zero() {
-        // Frames from a pre-hint peer lack retry_after_ms entirely.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, "{\"type\":\"overloaded\",\"queue_capacity\":4}").unwrap();
-        match recv::<_, Response>(&mut &buf[..]).unwrap() {
-            Response::Overloaded { queue_capacity, retry_after_ms } => {
-                assert_eq!(queue_capacity, 4);
-                assert_eq!(retry_after_ms, 0);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn error_kinds_are_stable() {
-        let e = chgraph::ExecError::InvalidConfig("too many cores".into());
-        match error_response(&e) {
-            Response::Error { kind, message } => {
-                assert_eq!(kind, "invalid-config");
-                assert!(message.contains("too many cores"));
-            }
-            other => panic!("{other:?}"),
-        }
     }
 }

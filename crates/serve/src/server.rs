@@ -26,8 +26,8 @@
 //! typed error instead of wedging a worker forever.
 
 use crate::proto::{
-    self, error_response, run_result_from_report, ArtifactSource, DiskCacheCounters, Request,
-    Response, RunRequest, StatsReport,
+    self, error_response, run_result_from_report, ArtifactSource, DiskCacheCounters, ErrorKind,
+    Request, Response, RunRequest, StatsReport,
 };
 use crate::stats::{CloseCause, Counters, LatencyHistogram};
 use chg_bench::{ArtifactStore, Fetch, Memo, PreprocessCache, Scale};
@@ -86,7 +86,7 @@ pub struct ServeConfig {
     /// Concurrent-connection cap; further accepts get a best-effort
     /// `overloaded` reply and an immediate close.
     pub max_connections: usize,
-    /// Degraded mode: when the p95 of the last [`QUEUE_WAIT_WINDOW`]
+    /// Degraded mode: when the p95 of the last `QUEUE_WAIT_WINDOW`
     /// queue waits crosses this threshold (and a backlog exists), new runs
     /// are shed immediately with an `overloaded` reply carrying a
     /// `retry_after_ms` hint. `None` disables shedding.
@@ -538,7 +538,7 @@ fn execute_isolated(request: &RunRequest, shared: &Shared) -> Response {
                 .cloned()
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
                 .unwrap_or_else(|| "non-string panic payload".into());
-            Response::Error { kind: "internal-panic".into(), message }
+            Response::Error { kind: ErrorKind::InternalPanic, message }
         }
     }
 }
@@ -619,7 +619,7 @@ fn build_run_config(request: &RunRequest, shared: &Shared) -> Result<RunConfig, 
 
 /// The uninsulated run path (inside `catch_unwind`).
 fn execute_run(request: &RunRequest, shared: &Shared) -> Response {
-    let bad = |msg: String| Response::Error { kind: "bad-request".into(), message: msg };
+    let bad = |msg: String| Response::Error { kind: ErrorKind::BadRequest, message: msg };
     let Some(workload) = pick_workload(&request.workload) else {
         return bad(format!("unknown workload {:?}", request.workload));
     };
@@ -664,7 +664,7 @@ fn execute_run(request: &RunRequest, shared: &Shared) -> Response {
             {
                 Ok(checked) => Ok(checked.report),
                 Err(e) => Err(Response::Error {
-                    kind: "self-check-failed".into(),
+                    kind: ErrorKind::SelfCheckFailed,
                     message: e.to_string(),
                 }),
             }
@@ -737,7 +737,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> CloseCause {
                     CloseCause::ReadTimeout
                 };
                 let resp = Response::Error {
-                    kind: "timeout".into(),
+                    kind: ErrorKind::Timeout,
                     message: match cause {
                         CloseCause::FrameDeadline => format!(
                             "request frame exceeded the {:?} frame deadline",
@@ -758,7 +758,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> CloseCause {
             Err(proto::ProtoError::Io(_)) => return CloseCause::Reset,
             Err(e) => {
                 shared.counters.on_protocol_error();
-                let resp = Response::Error { kind: "protocol".into(), message: e.to_string() };
+                let resp = Response::Error { kind: ErrorKind::Protocol, message: e.to_string() };
                 let _ = proto::send(&mut stream, &resp);
                 return CloseCause::Protocol;
             }
@@ -866,7 +866,7 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
         Request::Run(run) => {
             if shared.stop.load(Ordering::SeqCst) {
                 return Response::Error {
-                    kind: "shutting-down".into(),
+                    kind: ErrorKind::ShuttingDown,
                     message: "service is draining; not accepting new runs".into(),
                 };
             }
@@ -894,7 +894,7 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                     if fetch != Fetch::Miss {
                         if entry.0 != fp {
                             return Response::Error {
-                                kind: "bad-request".into(),
+                                kind: ErrorKind::BadRequest,
                                 message: "request_key reused with a different request".into(),
                             };
                         }
@@ -914,12 +914,12 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                 Ok(()) => match rx.recv() {
                     Ok(response) => response,
                     Err(_) => Response::Error {
-                        kind: "internal-panic".into(),
+                        kind: ErrorKind::InternalPanic,
                         message: "worker dropped the reply channel".into(),
                     },
                 },
                 Err(PushError::Draining) => Response::Error {
-                    kind: "shutting-down".into(),
+                    kind: ErrorKind::ShuttingDown,
                     message: "service is draining; not accepting new runs".into(),
                 },
                 Err(PushError::Full) => {

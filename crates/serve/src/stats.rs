@@ -3,7 +3,7 @@
 //!
 //! Everything here is updated from worker and handler threads with relaxed
 //! atomics — stats are monitoring data, not synchronization — and read out
-//! as one [`StatsReport`] snapshot by the `stats` request handler.
+//! as one [`StatsReport`](crate::StatsReport) snapshot by the `stats` request handler.
 
 use crate::proto::{CloseCounters, LatencySummary, RequestCounters};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -12,7 +12,7 @@
 use chg_bench::faultutil::{Fault, FaultReader};
 use chg_serve::proto::{self, fingerprint_report};
 use chg_serve::{
-    Client, ClientError, ProtoError, Request, Response, RunRequest, ServeConfig, Server,
+    Client, ClientError, ErrorKind, ProtoError, Request, Response, RunRequest, ServeConfig, Server,
 };
 use hyperalgos::{try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
@@ -206,7 +206,7 @@ fn runs_after_shutdown_are_rejected_as_draining() {
     let mut second = connect(addr);
     client.shutdown().expect("shutdown ack");
     match second.run(base_request()) {
-        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, "shutting-down"),
+        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, ErrorKind::ShuttingDown),
         // The drain can finish (and close the socket) before the request
         // lands; that is also a non-hang outcome.
         Err(ClientError::Proto(_)) => {}
@@ -273,7 +273,7 @@ fn garbage_on_the_socket_gets_a_typed_protocol_error() {
         raw.write_all(b"GET / HTTP/1.1\r\n\r\n").expect("write garbage");
         let reply: Result<Response, _> = proto::recv(&mut raw);
         match reply {
-            Ok(Response::Error { kind, .. }) => assert_eq!(kind, "protocol"),
+            Ok(Response::Error { kind, .. }) => assert_eq!(kind, ErrorKind::Protocol),
             other => panic!("expected a protocol error response, got {other:?}"),
         }
     }
@@ -315,7 +315,7 @@ fn slow_loris_drip_hits_the_frame_deadline_and_frees_the_worker() {
     raw.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
     let reply: Result<Response, _> = proto::recv(&mut raw);
     match reply {
-        Ok(Response::Error { kind, .. }) => assert_eq!(kind, "timeout"),
+        Ok(Response::Error { kind, .. }) => assert_eq!(kind, ErrorKind::Timeout),
         other => panic!("expected a typed timeout error, got {other:?}"),
     }
     // ... and then nothing more: the connection is closed.
@@ -361,7 +361,7 @@ fn duplicate_request_key_executes_once_with_identical_replies() {
     mismatched.iters = Some(5);
     match client.run(mismatched) {
         Err(ClientError::Server { kind, message }) => {
-            assert_eq!(kind, "bad-request");
+            assert_eq!(kind, ErrorKind::BadRequest);
             assert!(message.contains("request_key"), "message should name the key: {message}");
         }
         other => panic!("expected bad-request for a reused key, got {other:?}"),
