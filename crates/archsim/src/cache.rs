@@ -165,31 +165,34 @@ impl Cache {
         let stamp = self.stamp;
         let (set_idx, probe) = self.locate(addr);
         let base = set_idx * self.ways;
-        // Victim scan fused with the hit scan: one pass over the tag array
-        // alone (validity is the tag's bit 0) finds the matching way or,
-        // failing that, the first way with the least LRU key (invalid ways
-        // order before any valid one), matching the reference layout's
-        // `min_by_key` tie-breaking exactly. Read hits never touch `flags`.
+        let tags = &self.tags[base..base + self.ways];
+        // Hit scan: a fixed-trip pass over the set's tags alone (validity is
+        // the tag's bit 0). A line is resident in at most one way, so no
+        // early exit is needed. Read hits never touch `flags`.
+        let mut hit = None;
+        for (way, &t) in tags.iter().enumerate() {
+            if t == probe {
+                hit = Some(way);
+            }
+        }
+        if let Some(way) = hit {
+            self.stamps[base + way] = stamp;
+            if write {
+                self.flags[base + way] |= DIRTY;
+            }
+            return CacheAccess { hit: true, writeback: None, evicted: None };
+        }
+        // Victim scan, misses only: the first way with the least LRU key,
+        // where invalid ways key 0 and valid ones `stamp + 1`, matching the
+        // reference layout's `min_by_key` tie-breaking exactly.
+        let stamps = &self.stamps[base..base + self.ways];
         let mut victim = base;
         let mut victim_key = u32::MAX;
-        for i in base..base + self.ways {
-            let t = self.tags[i];
-            if t == probe {
-                self.stamps[i] = stamp;
-                if write {
-                    self.flags[i] |= DIRTY;
-                }
-                return CacheAccess { hit: true, writeback: None, evicted: None };
-            }
-            if t & 1 != 0 {
-                let key = self.stamps[i] + 1;
-                if key < victim_key {
-                    victim_key = key;
-                    victim = i;
-                }
-            } else if victim_key > 0 {
-                victim_key = 0;
-                victim = i;
+        for (way, (&t, &s)) in tags.iter().zip(stamps).enumerate() {
+            let key = if t & 1 != 0 { s + 1 } else { 0 };
+            if key < victim_key {
+                victim_key = key;
+                victim = base + way;
             }
         }
         // Miss: fill over the victim.

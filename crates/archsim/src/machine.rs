@@ -2,7 +2,6 @@
 //! L3 with directory-based invalidation, mesh NoC, and DRAM controllers.
 
 use crate::{AddressMap, Cache, DramModel, MemStats, MeshNoc, Region, SystemConfig};
-use std::collections::HashMap;
 
 /// Cache level (or main memory) at which an access was satisfied.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -79,8 +78,12 @@ pub struct Machine {
     noc: MeshNoc,
     dram: DramModel,
     stats: MemStats,
-    /// line address -> bitmask of cores whose private L2 holds the line.
-    directory: HashMap<u64, u32>,
+    /// `log2(line_bytes)`: byte address -> line number.
+    line_shift: u32,
+    /// Sharer directory, indexed by line number: the bitmask of cores whose
+    /// private L2 holds the line (`0` = no sharers). Dense over the address
+    /// map's footprint, so every probe is one indexed load.
+    directory: Vec<u32>,
 }
 
 impl Machine {
@@ -114,6 +117,11 @@ impl Machine {
         }
         let mut bank_cfg = cfg.l3;
         bank_cfg.size_bytes /= cfg.l3_banks;
+        // Every mapped address lies below the footprint, so one slot per
+        // footprint line covers every key. `vec!` of zeros is a zeroed
+        // allocation: only pages holding slots of lines that some L2 has
+        // cached are ever touched.
+        let lines = map.footprint().div_ceil(cfg.line_bytes as u64) as usize;
         Ok(Machine {
             l1: (0..cfg.num_cores).map(|_| Cache::new(&cfg.l1, cfg.line_bytes)).collect(),
             l2: (0..cfg.num_cores).map(|_| Cache::new(&cfg.l2, cfg.line_bytes)).collect(),
@@ -121,7 +129,8 @@ impl Machine {
             noc: MeshNoc::new(cfg.noc),
             dram: DramModel::new(cfg.dram),
             stats: MemStats::new(),
-            directory: HashMap::new(),
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            directory: vec![0; lines],
             cfg,
             map,
         })
@@ -152,9 +161,15 @@ impl Machine {
         addr & !(self.cfg.line_bytes as u64 - 1)
     }
 
+    /// Line number of a byte address: the L3 interleave and directory key.
+    #[inline]
+    fn line_no(&self, addr: u64) -> usize {
+        (addr >> self.line_shift) as usize
+    }
+
     #[inline]
     fn bank_of(&self, line_addr: u64) -> usize {
-        ((line_addr / self.cfg.line_bytes as u64) as usize) % self.cfg.l3_banks
+        self.line_no(line_addr) % self.cfg.l3_banks
     }
 
     /// Simulates one access. See the type-level docs for parameter meaning.
@@ -184,7 +199,7 @@ impl Machine {
             let l1_res = self.l1[core].access(addr, write);
             if l1_res.hit {
                 if write {
-                    latency += self.invalidate_remote_sharers(core, line, region);
+                    latency += self.invalidate_remote_sharers(core, line);
                 }
                 self.stats.record(region, Level::L1);
                 return AccessResult { level: Level::L1, latency };
@@ -205,14 +220,14 @@ impl Machine {
         self.handle_private_fill_side_effects(core, l2_res.evicted, l2_res.writeback);
         if l2_res.hit {
             if write {
-                latency += self.invalidate_remote_sharers(core, line, region);
+                latency += self.invalidate_remote_sharers(core, line);
             }
             self.stats.record(region, Level::L2);
             return AccessResult { level: Level::L2, latency };
         }
-        // Newly filled into this core's L2: update the directory (one
-        // hash probe — this runs on every private-cache miss).
-        *self.directory.entry(line).or_insert(0) |= 1 << core;
+        // Newly filled into this core's L2: record it as a sharer.
+        let slot = self.line_no(line);
+        self.directory[slot] |= 1 << core;
 
         // ---- L3 (over the NoC) ----
         let bank = self.bank_of(line);
@@ -223,7 +238,7 @@ impl Machine {
             self.handle_l3_eviction(evicted, l3_res.writeback.is_some());
         }
         if write {
-            latency += self.invalidate_remote_sharers(core, line, region);
+            latency += self.invalidate_remote_sharers(core, line);
         }
         if l3_res.hit {
             self.stats.record(region, Level::L3);
@@ -248,12 +263,8 @@ impl Machine {
         let Some(victim_line) = evicted else { return };
         // Inclusion: L1 cannot keep a line its L2 lost.
         let l1_dirty = self.l1[core].invalidate(victim_line).unwrap_or(false);
-        if let Some(shares) = self.directory.get_mut(&victim_line) {
-            *shares &= !(1 << core);
-            if *shares == 0 {
-                self.directory.remove(&victim_line);
-            }
-        }
+        let slot = self.line_no(victim_line);
+        self.directory[slot] &= !(1 << core);
         if writeback.is_some() || l1_dirty {
             let region = self.map.classify(victim_line);
             // The read-only OAG arrays are never dirty (paper §V-A notes
@@ -275,12 +286,12 @@ impl Machine {
     fn handle_l3_eviction(&mut self, victim_line: u64, l3_dirty: bool) {
         let mut dirty = l3_dirty;
         if self.cfg.l3_inclusive {
-            if let Some(shares) = self.directory.remove(&victim_line) {
-                for core in 0..self.cfg.num_cores {
-                    if shares & (1 << core) != 0 {
-                        dirty |= self.l1[core].invalidate(victim_line).unwrap_or(false);
-                        dirty |= self.l2[core].invalidate(victim_line).unwrap_or(false);
-                    }
+            let slot = self.line_no(victim_line);
+            let shares = std::mem::take(&mut self.directory[slot]);
+            for core in 0..self.cfg.num_cores {
+                if shares & (1 << core) != 0 {
+                    dirty |= self.l1[core].invalidate(victim_line).unwrap_or(false);
+                    dirty |= self.l2[core].invalidate(victim_line).unwrap_or(false);
                 }
             }
         }
@@ -291,13 +302,13 @@ impl Machine {
 
     /// MESI-lite: a write invalidates every other core's copy. Returns the
     /// coherence latency charged (zero when the line is private).
-    fn invalidate_remote_sharers(&mut self, core: usize, line: u64, _region: Region) -> u64 {
-        let Some(shares) = self.directory.get_mut(&line) else { return 0 };
-        let others = *shares & !(1 << core);
+    fn invalidate_remote_sharers(&mut self, core: usize, line: u64) -> u64 {
+        let slot = self.line_no(line);
+        let others = self.directory[slot] & !(1 << core);
         if others == 0 {
             return 0;
         }
-        *shares &= 1 << core;
+        self.directory[slot] &= 1 << core;
         let mut dirty = false;
         for other in 0..self.cfg.num_cores {
             if others & (1 << other) != 0 {
@@ -328,13 +339,14 @@ impl Machine {
         for c in &mut self.l3_banks {
             c.flush_silently();
         }
-        self.directory.clear();
+        self.directory.fill(0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn machine(cores: usize) -> Machine {
         let cfg = SystemConfig::scaled(cores);
@@ -483,6 +495,64 @@ mod tests {
         cfg.noc.width = 6;
         cfg.noc.height = 6;
         let _ = Machine::new(cfg, AddressMap::new(cfg.line_bytes));
+    }
+
+    /// A hierarchy small enough that a full directory census after every
+    /// access is cheap, with an L3 of half the footprint so inclusive
+    /// back-invalidation fires constantly.
+    fn tiny_machine(inclusive: bool) -> Machine {
+        let mut cfg = SystemConfig::scaled(4);
+        cfg.l1.size_bytes = 512;
+        cfg.l2.size_bytes = 2 * 1024;
+        cfg.l3.size_bytes = 8 * 1024;
+        cfg.l3_banks = 4;
+        cfg.l3_inclusive = inclusive;
+        let mut map = AddressMap::new(cfg.line_bytes);
+        map.add(Region::VertexValue, 8, 1024);
+        map.add(Region::HyperedgeValue, 8, 1024);
+        Machine::new(cfg, map)
+    }
+
+    /// Every line's sharer mask is exactly the set of cores whose L2 holds
+    /// it, and no slot outside the mapped lines carries a bit.
+    fn assert_directory_exact(m: &Machine) {
+        for (slot, &shares) in m.directory.iter().enumerate() {
+            let line = (slot as u64) << m.line_shift;
+            let holders = (0..m.cfg.num_cores)
+                .filter(|&c| m.l2[c].contains(line))
+                .fold(0u32, |mask, c| mask | 1 << c);
+            assert_eq!(shares, holders, "line {line:#x}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The dense directory is exact: it never misses a sharer and never
+        /// keeps a stale one, for inclusive and non-inclusive L3s, core and
+        /// engine entry, reads and writes; a flush leaves it all-zero.
+        fn directory_tracks_exactly_the_l2_holders(
+            inclusive in any::<bool>(),
+            trace in prop::collection::vec(
+                (0usize..4, any::<bool>(), 0u64..1024, any::<bool>(), any::<bool>()),
+                1..1500,
+            ),
+        ) {
+            let mut m = tiny_machine(inclusive);
+            prop_assert_eq!(
+                m.directory.len() as u64,
+                m.map.footprint() / m.cfg.line_bytes as u64
+            );
+            for (now, &(core, vertex, index, write, engine)) in trace.iter().enumerate() {
+                let region = if vertex { Region::VertexValue } else { Region::HyperedgeValue };
+                let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                let entry = if engine { Level::L2 } else { Level::L1 };
+                m.access(core, region, index, kind, entry, now as u64);
+                assert_directory_exact(&m);
+            }
+            m.flush_all_silently();
+            prop_assert!(m.directory.iter().all(|&s| s == 0));
+        }
     }
 
     #[test]

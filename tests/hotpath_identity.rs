@@ -146,3 +146,51 @@ proptest! {
         }
     }
 }
+
+/// Golden simulated results, recorded on the commit before the dense sharer
+/// directory and the hit-first way scan replaced the hashed directory and
+/// the fused scan in `archsim`. Any change to the hierarchy's hit, victim,
+/// writeback or coherence behaviour moves at least one of these numbers.
+/// The cells are the daemon's hit request (LJ@0.05 BFS under ChGraph, the
+/// config a request without knobs gets), PageRank under ChGraph and GLA
+/// (writes to shared lines exercise remote-sharer invalidation), and the
+/// ChGraph PageRank cell on an inclusive L3 (back-invalidation on L3
+/// eviction). Each expectation is `(fingerprint_report,
+/// main_memory_accesses, invalidations)`.
+#[test]
+fn simulated_results_match_golden_fingerprints() {
+    use archsim::SystemConfig;
+    use chg_serve::proto::fingerprint_report;
+    use chgraph::{ChGraphRuntime, GlaRuntime, RunConfig, Runtime};
+    use hyperalgos::{try_run_workload_prepared, Workload};
+    use hypergraph::datasets::Dataset;
+
+    let g = chg_bench::load_scaled(Dataset::LiveJournal, chg_bench::Scale(0.05));
+    let served = RunConfig::new();
+    let pr = RunConfig::new().with_max_iterations(4);
+    let mut inclusive = SystemConfig::scaled16();
+    inclusive.l3_inclusive = true;
+    let pr_inclusive = pr.with_system(inclusive);
+    let check = |name: &str, workload, runtime: &dyn Runtime, cfg: &RunConfig, want| {
+        let r = try_run_workload_prepared(workload, runtime, &g, cfg, None).expect(name);
+        let got = (fingerprint_report(&r), r.mem.main_memory_accesses(), r.mem.invalidations);
+        assert_eq!(got, want, "{name}: (fingerprint, main-memory accesses, invalidations)");
+    };
+    let chgraph = ChGraphRuntime::new();
+    check(
+        "serve hit: BFS/ChGraph",
+        Workload::Bfs,
+        &chgraph,
+        &served,
+        (0xe350_d3bb_a0d2_0048, 1708, 271),
+    );
+    check("PR/ChGraph", Workload::Pr, &chgraph, &pr, (0xfd81_69b2_02e3_ef3c, 5658, 24312));
+    check("PR/GLA", Workload::Pr, &GlaRuntime, &pr, (0x8378_4633_3dd9_0f4f, 5890, 24351));
+    check(
+        "PR/ChGraph, inclusive L3",
+        Workload::Pr,
+        &chgraph,
+        &pr_inclusive,
+        (0x85b6_85bc_0dfc_3e21, 13420, 23691),
+    );
+}

@@ -9,21 +9,26 @@ use chg_bench::figures::{self, Harness, System};
 use chg_bench::Scale;
 use hyperalgos::Workload;
 use hypergraph::datasets::Dataset;
+use std::sync::OnceLock;
 
-fn harness() -> Harness {
-    Harness::new(Scale(0.5))
+/// One reduced-scale harness shared by every test in this file. Its report
+/// memo is deterministic and order-independent (`parallel_determinism`
+/// proves it), so a cell one test already simulated is reused, not re-run.
+fn harness() -> &'static Harness {
+    static HARNESS: OnceLock<Harness> = OnceLock::new();
+    HARNESS.get_or_init(|| Harness::new(Scale(0.5)))
 }
 
 #[test]
 fn fig2_fig3_gla_reduces_memory_but_not_time_chgraph_reverses() {
     let h = harness();
-    let f2 = figures::fig2(&h);
+    let f2 = figures::fig2(h);
     assert!(
         f2.reduction > 1.15,
         "GLA must cut main-memory accesses for PR on WEB (got {:.2}x)",
         f2.reduction
     );
-    let f3 = figures::fig3(&h);
+    let f3 = figures::fig3(h);
     assert!(
         f3.gla_speedup < 1.2,
         "software GLA must not clearly beat Hygra (got {:.2}x)",
@@ -40,7 +45,7 @@ fn fig2_fig3_gla_reduces_memory_but_not_time_chgraph_reverses() {
 #[test]
 fn fig5_hypergraph_processing_is_memory_bound_under_hygra() {
     let h = harness();
-    let f5 = figures::fig5(&h);
+    let f5 = figures::fig5(h);
     let mean: f64 = f5.cells.iter().map(|c| c.2).sum::<f64>() / f5.cells.len() as f64;
     assert!(
         mean > 0.25,
@@ -52,7 +57,7 @@ fn fig5_hypergraph_processing_is_memory_bound_under_hygra() {
 #[test]
 fn fig7_chgraph_beats_hats_v_on_every_workload() {
     let h = harness();
-    let f7 = figures::fig7(&h);
+    let f7 = figures::fig7(h);
     for &(w, s) in &f7.speedups {
         assert!(s > 0.95, "{w}: ChGraph must not lose to HATS-V (got {s:.2}x)");
     }
@@ -66,7 +71,7 @@ fn fig7_chgraph_beats_hats_v_on_every_workload() {
 #[test]
 fn fig14_chgraph_wins_everywhere_gla_does_not() {
     let h = harness();
-    let f14 = figures::fig14(&h);
+    let f14 = figures::fig14(h);
     let wins = f14.cells.iter().filter(|c| c.3 > 1.0).count();
     assert!(
         wins * 10 >= f14.cells.len() * 9,
@@ -95,7 +100,7 @@ fn fig15_chgraph_reduces_memory_accesses() {
     // reductions; the full-scale numbers live in EXPERIMENTS.md (regenerate
     // with `figures fig15`). Assert the regime-robust cells here.
     let h = harness();
-    let f15 = figures::fig15(&h);
+    let f15 = figures::fig15(h);
     let web_pr = f15
         .reductions
         .iter()
@@ -145,7 +150,7 @@ fn fig15_full_scale_mean_reduction() {
 #[test]
 fn fig16_hcg_provides_most_of_the_benefit() {
     let h = harness();
-    let f16 = figures::fig16(&h);
+    let f16 = figures::fig16(h);
     assert!(
         f16.mean_hcg_speedup() > 1.15,
         "hardware chain generation must speed up software GLA (got {:.2}x)",
@@ -169,7 +174,7 @@ fn fig22_chgraph_wins_even_with_preprocessing() {
     // disproportionately, so the strong claim is asserted on the heaviest
     // all-active workload and the lenient bound on the mean.
     let h = harness();
-    let f22 = figures::fig22(&h);
+    let f22 = figures::fig22(h);
     assert!(
         f22.mean_total_speedup() > 0.75,
         "end-to-end mean collapsed (got {:.2}x)",
@@ -201,7 +206,7 @@ fn fig22_full_scale_total_speedup() {
 #[test]
 fn fig23_prefetcher_helps_less_than_chgraph() {
     let h = harness();
-    let f23 = figures::fig23(&h);
+    let f23 = figures::fig23(h);
     for &(w, s) in &f23.speedups {
         assert!(s > 1.0, "{w}: ChGraph must beat the event-driven prefetcher (got {s:.2}x)");
     }
@@ -210,7 +215,7 @@ fn fig23_prefetcher_helps_less_than_chgraph() {
 #[test]
 fn fig24_reordering_does_not_pay_off_end_to_end() {
     let h = harness();
-    let f24 = figures::fig24(&h);
+    let f24 = figures::fig24(h);
     for &(ds, hygra_reorder, chgraph, _chg_reorder) in &f24.cells {
         assert!(
             chgraph > hygra_reorder,
@@ -222,7 +227,7 @@ fn fig24_reordering_does_not_pay_off_end_to_end() {
 #[test]
 fn fig25_generality_chgraph_beats_ligra_on_graphs() {
     let h = harness();
-    let f25 = figures::fig25(&h);
+    let f25 = figures::fig25(h);
     assert!(
         f25.mean_vs_ligra() > 1.3,
         "ChGraph must beat the index-ordered graph baseline (paper 2.13x; got {:.2}x)",

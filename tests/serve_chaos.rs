@@ -191,7 +191,12 @@ fn refused_connection_is_transient_and_malformed_reply_fails_fast() {
     let t = std::thread::spawn(move || {
         if let Ok((mut s, _)) = garbage.accept() {
             let _ = s.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nhi");
-            let _ = s.flush();
+            // Half-close, then drain until the client hangs up. Closing with
+            // its ping still unread would send a reset instead of the bytes
+            // above, and a reset is (rightly) transient: the client would
+            // retry against a listener that no longer exists.
+            let _ = s.shutdown(std::net::Shutdown::Write);
+            let _ = std::io::copy(&mut s, &mut std::io::sink());
         }
     });
     let start = Instant::now();
