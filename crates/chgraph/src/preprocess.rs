@@ -25,7 +25,7 @@ use oag::OagBuildStats;
 pub const CYCLES_PER_EDGE_BUILD: u64 = 52;
 /// Cycles per element (offset array initialization, counting).
 pub const CYCLES_PER_ELEMENT_BUILD: u64 = 8;
-/// Serial cycles per OAG two-hop counting step.
+/// Serial cycles per step of the paper's two-hop counting walk.
 pub const CYCLES_PER_TWO_HOP_STEP: u64 = 4;
 /// Serial cycles per OAG edge kept (sort + append).
 pub const CYCLES_PER_OAG_EDGE: u64 = 30;
@@ -40,6 +40,12 @@ pub fn bipartite_build_cycles(g: &Hypergraph) -> u64 {
 }
 
 /// Cycle estimate of building one OAG from its construction statistics.
+///
+/// This charges the paper's preprocessing (§IV-A), not the host's build
+/// loop. `stats.two_hop_steps` is the length of the full two-hop walk,
+/// `Σ deg(p)²` over the pivots `p` within the pivot cap, whatever loop
+/// the host actually runs. So a faster host build cannot move Fig. 21/22;
+/// the `oag` crate's tests pin the closed form on every dataset and side.
 pub fn oag_build_cycles(stats: &OagBuildStats) -> u64 {
     (stats.two_hop_steps * CYCLES_PER_TWO_HOP_STEP + stats.edges_kept as u64 * CYCLES_PER_OAG_EDGE)
         / OAG_PARALLELISM
