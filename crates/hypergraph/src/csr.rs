@@ -184,6 +184,39 @@ impl Csr {
         Ok(Csr { offsets, targets })
     }
 
+    /// Returns `true` if `self` is exactly `rows.transpose(self.len())`:
+    /// row `j` of `self` lists, in ascending order and with multiplicity,
+    /// every row of `rows` that contains `j`. One pass over `rows` that
+    /// never materializes the transpose and stops at the first mismatch.
+    ///
+    /// ```
+    /// use hypergraph::Csr;
+    /// let rows = Csr::from_adjacency(vec![vec![1, 0], vec![1]]);
+    /// assert!(rows.transpose(2).is_transpose_of(&rows));
+    /// assert!(!Csr::from_adjacency(vec![vec![0], vec![1, 0]]).is_transpose_of(&rows));
+    /// ```
+    pub fn is_transpose_of(&self, rows: &Csr) -> bool {
+        if self.num_edges() != rows.num_edges() {
+            return false;
+        }
+        // Rows are visited in ascending order, so each of our rows must be
+        // consumed front to back. Equal edge counts and no row overrun
+        // imply every row is consumed exactly.
+        let mut cursor = self.offsets[..self.len()].to_vec();
+        for (i, row) in rows.iter() {
+            for &j in row {
+                let Some(c) = cursor.get_mut(j as usize) else {
+                    return false;
+                };
+                if *c == self.offsets[j as usize + 1] || self.targets[*c as usize] as usize != i {
+                    return false;
+                }
+                *c += 1;
+            }
+        }
+        true
+    }
+
     /// Approximate resident size in bytes (offsets + targets), used by the
     /// preprocessing/storage-overhead experiment (Fig. 21(b)).
     pub fn size_bytes(&self) -> usize {
@@ -241,6 +274,30 @@ mod tests {
         let csr = sample();
         let back = csr.transpose(7).transpose(4);
         assert_eq!(back, csr);
+    }
+
+    #[test]
+    fn is_transpose_of_matches_materialized_transpose() {
+        let csr = sample();
+        let t = csr.transpose(7);
+        assert!(t.is_transpose_of(&csr));
+        // Same rows, one out of order: the multisets agree but the
+        // check is for the exact (ascending) transpose.
+        let mut rows: Vec<Vec<u32>> = t.iter().map(|(_, r)| r.to_vec()).collect();
+        rows[0].reverse();
+        assert!(!Csr::from_adjacency(rows).is_transpose_of(&csr));
+        // Same edge count, one incidence moved; a column out of range; an
+        // extra incidence.
+        let moved =
+            Csr::from_adjacency(vec![vec![0, 4, 6], vec![1, 2, 3, 5], vec![0, 2, 4], vec![1, 4]]);
+        assert!(!t.is_transpose_of(&moved));
+        let wide =
+            Csr::from_adjacency(vec![vec![0, 4, 6], vec![1, 2, 3, 5], vec![0, 2, 4], vec![1, 9]]);
+        assert!(!t.is_transpose_of(&wide));
+        assert!(!t.is_transpose_of(&Csr::from_adjacency(vec![vec![0, 4, 6, 6]])));
+        // Duplicates count with multiplicity.
+        let dup = Csr::from_adjacency(vec![vec![1, 1], vec![0]]);
+        assert!(dup.transpose(2).is_transpose_of(&dup));
     }
 
     #[test]
