@@ -240,8 +240,9 @@ fn emit_json(path: &str, results: &[KernelResult]) {
     body.push_str("{\n");
     body.push_str(
         "  \"description\": \"Hot-path kernel speedups: the rewritten kernels \
-         (SoA set-associative cache; the OAG build by symmetric half-counting with mirrored \
-         pairs kept in the output rows and bounded top-k degree capping, both sides; chain \
+         (SoA set-associative cache; the OAG build by symmetric half-counting with a \
+         branch-free scatter into a counter cleared as it drains, mirrored pairs kept in the \
+         output rows and bounded top-k degree capping, both sides; chain \
          generation with reused epoch-tagged visited scratch) timed against the retained \
          reference kernels on identical inputs. Outputs are asserted bit-identical in the \
          same run; the workspace identity test suite (tests/hotpath_identity.rs) pins the \

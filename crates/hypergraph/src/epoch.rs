@@ -1,23 +1,21 @@
-//! Epoch-tagged scratch arrays for hot preprocessing kernels.
+//! Epoch-tagged marks for hot preprocessing kernels.
 //!
-//! The preprocessing passes of this repository (two-hop overlap counting in
-//! `oag::build`, the visited set of chain generation, schedule replays)
-//! all need a per-round "have I seen element `i` this round?" structure
-//! over a dense `u32` id universe. A `HashSet` pays a hash per probe; a
-//! fresh `vec![false; n]` (or a `fill(false)`) pays an `O(n)` clear per
-//! round, which dominates when rounds touch only a sparse subset.
+//! Chain generation needs a per-round "have I seen element `i` this
+//! round?" set over a dense `u32` id universe. A `HashSet` pays a hash per
+//! probe; a fresh `vec![false; n]` (or a `fill(false)`) pays an `O(n)`
+//! clear per round, which dominates when rounds touch only a sparse
+//! subset.
 //!
 //! The classic fix — the idiom the ChGraph paper's own preprocessing cost
 //! model assumes (§IV-A) — is an *epoch tag*: one dense array of `u32`
 //! stamps plus a current-epoch counter. A slot is "set" iff its stamp
 //! equals the current epoch, so "clear everything" is a counter bump, and
 //! probes stay one indexed load. The tag wrapping around to a
-//! previously-used value would make stale slots readable again, so both
-//! structures detect exhaustion of their 32-bit tag space and fall back to
-//! one real `O(n)` clear (once per `u32::MAX` rounds for [`EpochMarks`],
-//! once per `2^31` units of count mass for [`EpochCounters`] — amortized
-//! zero either way); the wraparound tests here and in the workspace root
-//! force the tags to the edge and prove kernels stay identical across it.
+//! previously-used value would make stale slots readable again, so
+//! [`EpochMarks`] falls back to one real `O(n)` clear once per `u32::MAX`
+//! rounds (amortized zero); the wraparound tests here and in the workspace
+//! root force the tag to the edge and prove kernels stay identical across
+//! it.
 
 /// A dense set over `0..universe` with `O(1)` clear via epoch bump.
 ///
@@ -93,108 +91,6 @@ impl EpochMarks {
     }
 }
 
-/// A dense `u32` counter array over `0..universe` with `O(1)` clear.
-///
-/// The epoch tag is an *offset*: a slot holding `v` encodes count
-/// `v - base` when `v > base` and zero otherwise, and "reset all counts"
-/// advances `base` past every value written so far. This keeps slots at
-/// 4 bytes — the same random-scatter footprint as the plain `Vec<u32>`
-/// counter it replaces (a `(tag, count)` pair per slot would double it,
-/// which is exactly what the hot two-hop counting loop cannot afford) —
-/// while reads never write (unlike the clear-as-you-drain idiom). Once
-/// `base` reaches the top half of the `u32` range the array is truly
-/// zeroed (amortized `O(1)`; counts per round are bounded by `2^31`,
-/// far above any real row).
-///
-/// ```
-/// use hypergraph::epoch::EpochCounters;
-/// let mut c = EpochCounters::new();
-/// c.begin(4);
-/// assert_eq!(c.add(2), 1); // first touch this round
-/// assert_eq!(c.add(2), 2);
-/// assert_eq!(c.get(2), 2);
-/// c.begin(4);
-/// assert_eq!(c.get(2), 0); // cleared by epoch bump
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct EpochCounters {
-    /// `base + count` per touched slot; values `<= base` mean zero.
-    slots: Vec<u32>,
-    base: u32,
-    /// Increments performed this round. Every slot value is bounded by
-    /// `base + adds`, so the next round's base is `base + adds` — a pure
-    /// register increment per [`add`](Self::add), deliberately *not* a
-    /// running max of written values, which would chain every random slot
-    /// load into one serial dependency and stall the scatter loop on
-    /// memory latency.
-    adds: u64,
-}
-
-/// Past this base the remaining headroom could no longer hold a round's
-/// counts; [`EpochCounters::begin`] falls back to one real clear.
-const COUNTER_WRAP_LIMIT: u32 = 1 << 31;
-
-impl EpochCounters {
-    /// Creates an empty scratch; the universe is sized by [`begin`](Self::begin).
-    pub fn new() -> Self {
-        EpochCounters::default()
-    }
-
-    /// Starts a new round over `0..universe` with all counts zero.
-    pub fn begin(&mut self, universe: usize) {
-        if self.slots.len() < universe {
-            // Zero reads as count 0 under any base.
-            self.slots.resize(universe, 0);
-        }
-        let next = self.base as u64 + self.adds;
-        self.adds = 0;
-        if next >= COUNTER_WRAP_LIMIT as u64 {
-            self.slots.fill(0);
-            self.base = 0;
-        } else {
-            self.base = next as u32;
-        }
-    }
-
-    /// Increments slot `i`, returning the new count (1 on the first touch
-    /// of a round).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is outside the universe of the last [`begin`](Self::begin).
-    #[inline]
-    pub fn add(&mut self, i: usize) -> u32 {
-        self.adds += 1;
-        let slot = &mut self.slots[i];
-        let v = *slot;
-        let count = if v > self.base { v - self.base + 1 } else { 1 };
-        *slot = self.base + count;
-        count
-    }
-
-    /// The count of slot `i` this round (0 if untouched). Read-only: no
-    /// store, no clear obligation on the caller.
-    #[inline]
-    pub fn get(&self, i: usize) -> u32 {
-        let v = self.slots[i];
-        v.saturating_sub(self.base)
-    }
-
-    /// Forces the epoch offset (test support for wraparound coverage: park
-    /// it just below [`COUNTER_WRAP_LIMIT`] — or `u32::MAX` — and keep
-    /// running rounds). Invalidates all current counts.
-    pub fn force_epoch(&mut self, epoch: u32) {
-        self.slots.fill(0);
-        self.base = epoch.max(1);
-        self.adds = 0;
-    }
-
-    /// The current epoch offset (observability for wraparound tests).
-    pub fn epoch(&self) -> u32 {
-        self.base
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,59 +131,5 @@ mod tests {
             assert!(m.is_marked(5));
         }
         assert!(m.epoch() >= 1);
-    }
-
-    #[test]
-    fn counters_round_trip() {
-        let mut c = EpochCounters::new();
-        c.begin(5);
-        assert_eq!(c.get(1), 0);
-        assert_eq!(c.add(1), 1);
-        assert_eq!(c.add(1), 2);
-        assert_eq!(c.add(4), 1);
-        assert_eq!(c.get(1), 2);
-        assert_eq!(c.get(4), 1);
-        c.begin(5);
-        assert_eq!(c.get(1), 0, "begin clears counts");
-        assert_eq!(c.add(1), 1);
-    }
-
-    #[test]
-    fn counters_survive_epoch_wraparound() {
-        // Parked at the very top of the tag space: the first begin() must
-        // fall back to a real clear.
-        let mut c = EpochCounters::new();
-        c.force_epoch(u32::MAX - 2);
-        for round in 0..6 {
-            c.begin(8);
-            assert_eq!(c.get(3), 0, "round {round}: stale count resurfaced");
-            assert_eq!(c.add(3), 1, "round {round}");
-            assert_eq!(c.add(3), 2, "round {round}");
-        }
-        // Parked just below the wrap limit: the fallback clear triggers
-        // mid-sequence, between rounds that carry live counts.
-        let mut c = EpochCounters::new();
-        c.force_epoch(COUNTER_WRAP_LIMIT - 3);
-        for round in 0..6 {
-            c.begin(8);
-            assert_eq!(c.get(3), 0, "round {round}: stale count resurfaced");
-            for expect in 1..=round + 1 {
-                assert_eq!(c.add(3), expect, "round {round}");
-            }
-            assert_eq!(c.get(7), 0, "round {round}: untouched slot drifted");
-        }
-        assert!(c.epoch() < COUNTER_WRAP_LIMIT, "wrap must have reset the offset");
-    }
-
-    #[test]
-    fn counters_grow_universe_mid_epoch_sequence() {
-        let mut c = EpochCounters::new();
-        c.begin(2);
-        c.add(1);
-        c.begin(6);
-        // Newly grown slots must read zero even though the epoch advanced.
-        for i in 0..6 {
-            assert_eq!(c.get(i), 0, "slot {i}");
-        }
     }
 }

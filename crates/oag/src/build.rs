@@ -9,12 +9,26 @@
 //!
 //! Overlap is symmetric, so the kernel counts every pair once. Row `a`
 //! walks its pivots and, from each pivot's ascending member list, scatters
-//! only the suffix `b > a` into an epoch-tagged counter. Rows run in
-//! ascending order, so a per-pivot cursor (placed by `partition_point` at
-//! the first row) always sits on `a`'s own entry and the suffix starts
-//! right after it. Each pair that reaches `W_min` then serves two rows: `b`
-//! is a candidate of row `a`, and `a` is *mirrored* into row `b`, whose
-//! turn comes later.
+//! only the suffix `b > a` into the counter. Rows run in ascending order,
+//! so a per-pivot cursor (placed by `partition_point` at the first row)
+//! always sits on `a`'s own entry and the suffix starts right after it.
+//! Each pair that reaches `W_min` then serves two rows: `b` is a candidate
+//! of row `a`, and `a` is *mirrored* into row `b`, whose turn comes later.
+//!
+//! # Counter and drain
+//!
+//! The counter is a plain `u32` per row of the side, zero between rows,
+//! and `touched` lists the distinct rows a scatter reached; both are
+//! allocated once per span. A scatter step has no data-dependent branch:
+//! it increments `counts[b]`, stores `b` at the end of `touched`
+//! unconditionally, and advances the end only if the old count was zero
+//! (so `touched` has one spare slot). Row `a`'s own count is held nonzero
+//! during its scatter, so `a` never enters `touched` even where its pivot
+//! lists contain it (a directed build), and is cleared after. The drain
+//! reads each touched count with `std::mem::take`, which leaves the
+//! counter zero for the next row: no clear pass, no epoch, no wraparound.
+//!
+//! # Output rows
 //!
 //! A mirrored pair waits in its row's own slots of the final
 //! `edges`/`weights` arrays, so there is no side buffer. Every row reserves
@@ -22,12 +36,15 @@
 //! members of the row's pivots within the cap, so the slots never overflow.
 //! A full row keeps a floor, the lowest weight it holds; mirrored pairs
 //! arrive in ascending source order and so lose weight ties, which makes a
-//! pair at or below the floor cost one compare. On its turn a row merges
-//! its waiting pairs with those of its forward candidates above its own
-//! floor (the rest lose to every waiting pair), keeps the `max_degree`
-//! heaviest in descending-weight / ascending-id order (a bounded top-k
-//! selection, then a sort of the survivors) and writes them back to its
-//! slots. One in-place left compaction turns the padded rows into the CSR.
+//! pair at or below the floor cost one compare. A row's filled count and
+//! floor share one 8-byte entry, since a mirrored pair reads the floor and,
+//! if it enters, the count; the slot offsets are a separate array. On its
+//! turn a row merges its waiting pairs with those of its forward
+//! candidates above its own floor (the rest lose to every waiting pair),
+//! keeps the `max_degree` heaviest in descending-weight / ascending-id
+//! order (a bounded top-k selection, then a sort of the survivors) and
+//! writes them back to its slots. One in-place left compaction turns the
+//! padded rows into the CSR.
 //!
 //! The hyperedge side's pivot lists are the vertex CSR's rows, which are
 //! ascending by construction. The vertex side's are the hyperedge lists,
@@ -49,7 +66,6 @@
 //! both ends, as a full walk would.
 
 use crate::Oag;
-use hypergraph::epoch::EpochCounters;
 use hypergraph::{Csr, Hypergraph, Side};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -142,7 +158,7 @@ impl OagConfig {
         let threads = threads.max(1).min(n.max(1));
         let pivots = Pivots::new(g, side);
         if threads == 1 {
-            return self.build_in_place(g, side, &pivots, 0);
+            return self.build_in_place(g, side, &pivots);
         }
         let per = n.div_ceil(threads);
         let parts: Vec<SpanRows> = std::thread::scope(|scope| {
@@ -150,7 +166,7 @@ impl OagConfig {
                 .map(|t| {
                     let span = (t * per).min(n) as u32..((t + 1) * per).min(n) as u32;
                     let pivots = &pivots;
-                    scope.spawn(move || self.count_pairs(g, side, pivots, span, 0))
+                    scope.spawn(move || self.count_pairs(g, side, pivots, span))
                 })
                 .collect();
             // invariant: count_pairs is pure arithmetic over a validated
@@ -195,23 +211,16 @@ impl OagConfig {
     }
 
     /// The serial build: one span over every row, whose padded slots are
-    /// compacted in place into the final CSR arrays. `initial_epoch` as in
-    /// [`count_pairs`](Self::count_pairs).
-    fn build_in_place(
-        &self,
-        g: &Hypergraph,
-        side: Side,
-        pivots: &Pivots,
-        initial_epoch: u32,
-    ) -> (Oag, OagBuildStats) {
+    /// compacted in place into the final CSR arrays.
+    fn build_in_place(&self, g: &Hypergraph, side: Side, pivots: &Pivots) -> (Oag, OagBuildStats) {
         let n = g.num_on(side);
-        let SpanRows { start, len, mut edges, mut weights, mut stats, .. } =
-            self.count_pairs(g, side, pivots, 0..n as u32, initial_epoch);
+        let SpanRows { start, fill, mut edges, mut weights, mut stats, .. } =
+            self.count_pairs(g, side, pivots, 0..n as u32);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
         let mut end = 0;
-        for (&from, &l) in start.iter().zip(&len) {
-            let l = l as usize;
+        for (&from, f) in start.iter().zip(&fill) {
+            let l = f.len as usize;
             // Rows move left only: a row's slots start at or past the sum
             // of the lengths before it.
             edges.copy_within(from..from + l, end);
@@ -236,18 +245,15 @@ impl OagConfig {
     /// their forward candidates and the pairs mirrored from earlier rows
     /// of the span, sorted. Rows past the span (symmetric builds only)
     /// come out holding the top-k of the pairs the span mirrored into
-    /// them, unsorted. All scratch — the epoch-tagged counter, the touched
-    /// list, the row buffer — is allocated once per span; the counter is
-    /// cleared between rows by an epoch bump ([`EpochCounters::begin`]).
-    /// `initial_epoch` parks the epoch counter for the wraparound tests;
-    /// production paths pass 0 (ignored).
+    /// them, unsorted. All scratch — the counter, the touched list, the
+    /// row buffer — is allocated once per span; the drain leaves every
+    /// count zero for the next row.
     fn count_pairs(
         &self,
         g: &Hypergraph,
         side: Side,
         pivots: &Pivots,
         span: Range<u32>,
-        initial_epoch: u32,
     ) -> SpanRows {
         let n = g.num_on(side);
         let rows = g.csr_for(side);
@@ -273,12 +279,10 @@ impl OagConfig {
             bound.min(self.max_degree as usize)
         });
 
-        let mut counts = EpochCounters::new();
-        counts.begin(n);
-        if initial_epoch != 0 {
-            counts.force_epoch(initial_epoch);
-        }
-        let mut touched: Vec<u32> = Vec::new();
+        // `touched[..t]` lists the distinct rows counted so far; one slot
+        // past them takes the unconditional store of the next step.
+        let mut counts = vec![0u32; n];
+        let mut touched = vec![0u32; n + 1];
         let mut row: Vec<(u32, u32)> = Vec::new(); // (neighbor, weight)
 
         // Rows are visited in ascending order, so in a symmetric build row
@@ -298,7 +302,10 @@ impl OagConfig {
             Vec::new()
         };
         for a in span {
-            counts.begin(n);
+            // A directed build's pivot lists may hold `a` itself: its
+            // count starts nonzero, so it never enters `touched`.
+            counts[a as usize] = 1;
+            let mut t = 0;
             for &p in rows.neighbors(a as usize) {
                 let (from, to) = lists.target_range(p as usize);
                 if (to - from) as u64 > pivot_cap {
@@ -315,20 +322,22 @@ impl OagConfig {
                     &targets[from..to]
                 };
                 for &b in members {
-                    if b != a && counts.add(b as usize) == 1 {
-                        touched.push(b);
-                    }
+                    let c = counts[b as usize];
+                    counts[b as usize] = c + 1;
+                    touched[t] = b;
+                    t += usize::from(c == 0);
                 }
             }
-            out.stats.pairs_considered += touched.len() as u64 * (1 + u64::from(symmetric));
+            counts[a as usize] = 0;
+            out.stats.pairs_considered += t as u64 * (1 + u64::from(symmetric));
             // Once the row's own slots are full, a forward candidate at or
             // below their floor cannot make the top-k: the held pairs all
             // weigh at least as much and have smaller ids.
-            let floor = out.floor[a as usize - out.span.start];
+            let floor = out.fill[a as usize - out.span.start].floor;
             row.clear();
             row.extend(out.row(a as usize));
-            for b in touched.drain(..) {
-                let w = counts.get(b as usize);
+            for &b in &touched[..t] {
+                let w = std::mem::take(&mut counts[b as usize]);
                 if w >= self.w_min {
                     if w > floor {
                         row.push((b, w));
@@ -341,6 +350,7 @@ impl OagConfig {
             self.keep_heaviest(&mut row);
             out.set_row(a as usize, &row);
         }
+        debug_assert!(counts.iter().all(|&c| c == 0), "every count is taken as it drains");
         out
     }
 
@@ -357,22 +367,6 @@ impl OagConfig {
             row.truncate(cap);
         }
         row.sort_unstable_by(order);
-    }
-
-    /// [`build_with_stats`](Self::build_with_stats) with the counting
-    /// scratch's epoch counter parked at `epoch` before the first row —
-    /// wraparound-coverage support: the identity tests start just below
-    /// `u32::MAX` and prove the output matches the reference kernel across
-    /// the wrap. Serial only; compiled for tests and the
-    /// `reference-kernels` feature.
-    #[cfg(any(test, feature = "reference-kernels"))]
-    pub fn build_with_stats_at_epoch(
-        &self,
-        g: &Hypergraph,
-        side: Side,
-        epoch: u32,
-    ) -> (Oag, OagBuildStats) {
-        self.build_in_place(g, side, &Pivots::new(g, side), epoch.max(1))
     }
 }
 
@@ -403,19 +397,26 @@ impl<'g> Pivots<'g> {
 /// One span's output in the padded layout, covering every row from the
 /// span's first to the last. Row `r` sits at index `i = r - span.start`
 /// and owns slots `start[i]..start[i + 1]` of `edges`/`weights`, of which
-/// the first `len[i]` are filled.
+/// the first `fill[i].len` are filled.
 struct SpanRows {
     /// The rows the span counted; rows past it only receive mirrored pairs.
     span: Range<usize>,
     start: Vec<usize>,
-    len: Vec<u32>,
-    /// The weight a mirrored pair must exceed to enter each row: 0 while
-    /// the row has free slots, its lowest weight once full, and `u32::MAX`
-    /// for a row without slots.
-    floor: Vec<u32>,
+    fill: Vec<Fill>,
     edges: Vec<u32>,
     weights: Vec<u32>,
     stats: OagBuildStats,
+}
+
+/// A row's filled slot count and floor, side by side because a mirrored
+/// pair reads the floor and, when it enters, the count.
+#[derive(Clone, Copy)]
+struct Fill {
+    len: u32,
+    /// The weight a mirrored pair must exceed to enter the row: 0 while
+    /// the row has free slots, its lowest weight once full, and `u32::MAX`
+    /// for a row without slots.
+    floor: u32,
 }
 
 impl SpanRows {
@@ -429,12 +430,14 @@ impl SpanRows {
             total += slots(r);
             start.push(total);
         }
-        let floor = start.windows(2).map(|s| if s[0] == s[1] { u32::MAX } else { 0 }).collect();
+        let fill = start
+            .windows(2)
+            .map(|s| Fill { len: 0, floor: if s[0] == s[1] { u32::MAX } else { 0 } })
+            .collect();
         SpanRows {
             span,
             start,
-            len: vec![0; rows.len()],
-            floor,
+            fill,
             edges: vec![0; total],
             weights: vec![0; total],
             stats: OagBuildStats::default(),
@@ -444,7 +447,7 @@ impl SpanRows {
     /// The filled slots of row `r` as `(neighbor, weight)` pairs.
     fn row(&self, r: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
         let i = r - self.span.start;
-        let filled = self.start[i]..self.start[i] + self.len[i] as usize;
+        let filled = self.start[i]..self.start[i] + self.fill[i].len as usize;
         self.edges[filled.clone()].iter().copied().zip(self.weights[filled].iter().copied())
     }
 
@@ -456,7 +459,7 @@ impl SpanRows {
             self.edges[from + k] = b;
             self.weights[from + k] = w;
         }
-        self.len[i] = row.len() as u32;
+        self.fill[i].len = row.len() as u32;
     }
 
     /// Offers the pair `(a, w)` to row `b`, keeping the row's top-k. Pairs
@@ -465,13 +468,13 @@ impl SpanRows {
     /// pair with the highest id.
     fn mirror(&mut self, b: usize, a: u32, w: u32) {
         let i = b - self.span.start;
-        if w <= self.floor[i] {
+        if w <= self.fill[i].floor {
             return;
         }
         let slots = self.start[i]..self.start[i + 1];
-        let filled = self.len[i] as usize;
+        let filled = self.fill[i].len as usize;
         let k = if filled < slots.len() {
-            self.len[i] += 1;
+            self.fill[i].len += 1;
             slots.start + filled
         } else {
             slots
@@ -481,8 +484,8 @@ impl SpanRows {
         };
         self.edges[k] = a;
         self.weights[k] = w;
-        if self.len[i] as usize == slots.len() {
-            self.floor[i] = self.weights[slots].iter().copied().min().unwrap_or(u32::MAX);
+        if self.fill[i].len as usize == slots.len() {
+            self.fill[i].floor = self.weights[slots].iter().copied().min().unwrap_or(u32::MAX);
         }
     }
 }
@@ -502,7 +505,12 @@ pub struct OagBuildStats {
     /// within the cap. The half-counting build executes about half.
     pub two_hop_steps: u64,
     /// Distinct candidate pairs examined against `W_min`, each pair counted
-    /// from both of its ends.
+    /// from both of its ends: twice the number of distinct two-hop pairs
+    /// (ordered pairs in a directed build). Unlike `two_hop_steps` and
+    /// `pivots_skipped`, this is no closed form over pivot degrees, so a
+    /// build that skips pairs (prefix filtering for `W_min` ≥ 2, say) must
+    /// still enumerate every pair to report it, or change this field and
+    /// the stats cache format.
     pub pairs_considered: u64,
     /// Directed edge entries kept in the OAG.
     pub edges_kept: usize,
@@ -631,20 +639,6 @@ mod tests {
                 assert_eq!(opt, reference, "seed {seed} {side:?}");
                 assert_eq!(opt_stats, ref_stats, "seed {seed} {side:?}");
             }
-        }
-    }
-
-    #[test]
-    fn epoch_wraparound_does_not_corrupt_counts() {
-        let g = GeneratorConfig::new(300, 200).with_seed(13).generate();
-        let cfg = OagConfig::new().with_w_min(1).with_max_degree(8);
-        let (reference, ref_stats) = crate::reference::build_with_stats(&cfg, &g, Side::Hyperedge);
-        // Park the epoch counter so it wraps mid-build (one bump per row,
-        // 200 rows, wrap forced within the first few).
-        for start in [u32::MAX - 3, u32::MAX - 100, u32::MAX] {
-            let (opt, opt_stats) = cfg.build_with_stats_at_epoch(&g, Side::Hyperedge, start);
-            assert_eq!(opt, reference, "start epoch {start}");
-            assert_eq!(opt_stats, ref_stats, "start epoch {start}");
         }
     }
 

@@ -1,15 +1,19 @@
 //! Kernel-identity property tests for the hot-path flattening rewrite.
 //!
 //! Three kernels (the set-associative cache, the OAG build, chain
-//! generation) were rewritten with flat layouts, epoch-tagged scratch and,
-//! for the OAG build, symmetric half-counting, keeping the originals as
+//! generation) were rewritten with flat layouts, keeping the originals as
 //! `archsim::reference` / `oag::reference` under the `reference-kernels`
-//! feature. These properties replay random inputs through both
-//! implementations and assert the outputs — including full observer event
-//! streams and statistics — are bit-identical, so the committed
-//! `BENCH_hotpath.json` speedups are speedups of *the same function*, not
-//! of a subtly different one.
+//! feature. The cache keeps `u32` LRU stamps that wrap, chain generation
+//! an epoch-tagged visited set, and the OAG build half-counts symmetric
+//! overlap with a branch-free scatter into a counter cleared as it drains
+//! (directed hypergraphs count in full and mirror nothing). These
+//! properties replay random inputs through both implementations and
+//! assert the outputs — including full observer event streams and
+//! statistics — are bit-identical, undirected and directed, so the
+//! committed `BENCH_hotpath.json` speedups are speedups of *the same
+//! function*, not of a subtly different one.
 
+use hypergraph::directed::DirectedHypergraphBuilder;
 use hypergraph::{Frontier, Hypergraph, HypergraphBuilder, Side, VertexId};
 use oag::{generate_chains, generate_chains_with_scratch, ChainConfig, ChainScratch, OagConfig};
 use proptest::prelude::*;
@@ -43,6 +47,27 @@ fn arb_oag_hypergraph() -> impl Strategy<Value = Hypergraph> {
                     row.truncate(1);
                 }
                 b.add_hyperedge(row.into_iter().map(VertexId::new)).expect("in range");
+            }
+            b.build()
+        })
+    })
+}
+
+/// Strategy: a directed hypergraph for the OAG kernels, drawn like
+/// [`arb_oag_hypergraph`] with each hyperedge split into sources and
+/// destinations that may share up to two vertices, so rows meet
+/// themselves in their own two-hop walk.
+fn arb_directed_oag_hypergraph() -> impl Strategy<Value = Hypergraph> {
+    (2usize..40, 0usize..6).prop_flat_map(|(used, isolated)| {
+        let row = (prop::collection::vec(0u32..used as u32, 1..8), 0usize..8, 0usize..3);
+        (Just(used + isolated), prop::collection::vec(row, 1..30)).prop_map(|(nv, rows)| {
+            let mut b = DirectedHypergraphBuilder::new(nv);
+            for (members, split, shared) in rows {
+                let split = split.min(members.len());
+                let ids = |s: &[u32]| s.iter().map(|&v| VertexId::new(v)).collect::<Vec<_>>();
+                let (sources, destinations) =
+                    (&members[..split], &members[split - shared.min(split)..]);
+                b.add_hyperedge(ids(sources), ids(destinations)).expect("in range, non-empty");
             }
             b.build()
         })
@@ -132,20 +157,21 @@ proptest! {
         }
     }
 
-    /// OAG counting scratch parked just below the `u32` epoch wrap produces
-    /// the same graph as the reference on both sides (the vertex side runs
-    /// over the transposed pivot lists) — the one real `fill(0)` on wrap is
-    /// invisible.
-    fn oag_build_survives_epoch_wraparound(
-        g in arb_oag_hypergraph(),
+    /// The same identity on directed hypergraphs, whose CSR sides are not
+    /// transposes: every row counts its whole two-hop neighborhood, mirrors
+    /// nothing, and must keep itself out of its own candidates even where a
+    /// vertex is both source and destination of one hyperedge.
+    fn directed_oag_builds_are_identical(
+        g in arb_directed_oag_hypergraph(),
         cfg in arb_oag_config(),
-        back in 0u32..3,
     ) {
         for side in [Side::Hyperedge, Side::Vertex] {
             let (want, want_stats) = oag::reference::build_with_stats(&cfg, &g, side);
-            let (got, got_stats) = cfg.build_with_stats_at_epoch(&g, side, u32::MAX - back);
-            prop_assert_eq!(&got, &want);
-            prop_assert_eq!(got_stats, want_stats);
+            for threads in 1..=8 {
+                let (got, got_stats) = cfg.build_with_stats_threads(&g, side, threads);
+                prop_assert_eq!(&got, &want, "{:?} threads {}", side, threads);
+                prop_assert_eq!(got_stats, want_stats, "{:?} threads {}", side, threads);
+            }
         }
     }
 
