@@ -126,11 +126,20 @@ impl RegionGroup {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+/// One region's placement. An absent region is the zero segment: `len` 0
+/// keeps every index out of range, and `elem_bytes` 0 (which
+/// [`AddressMap::add`] never stores) marks it absent.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 struct Segment {
     base: u64,
     elem_bytes: u32,
     len: u64,
+}
+
+impl Segment {
+    fn is_present(&self) -> bool {
+        self.elem_bytes != 0
+    }
 }
 
 /// Lays regions out in a flat address space and maps `(region, index)` to
@@ -148,7 +157,9 @@ struct Segment {
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct AddressMap {
     line_bytes: u64,
-    segments: Vec<Option<Segment>>,
+    /// Indexed by [`Region::idx`], absent regions included, so a lookup is
+    /// one indexed load and one range compare.
+    segments: [Segment; Region::ALL.len()],
     cursor: u64,
 }
 
@@ -162,7 +173,7 @@ impl AddressMap {
         assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
         AddressMap {
             line_bytes: line_bytes as u64,
-            segments: vec![None; Region::ALL.len()],
+            segments: [Segment::default(); Region::ALL.len()],
             // Leave page zero unmapped so address 0 is never valid data.
             cursor: line_bytes as u64,
         }
@@ -175,10 +186,10 @@ impl AddressMap {
     /// Panics if the region was already added or `elem_bytes == 0`.
     pub fn add(&mut self, region: Region, elem_bytes: u32, len: usize) -> &mut Self {
         assert!(elem_bytes > 0, "element size must be positive");
-        assert!(self.segments[region.idx()].is_none(), "region {region:?} added twice");
+        assert!(!self.segments[region.idx()].is_present(), "region {region:?} added twice");
         let base = self.cursor;
         let bytes = elem_bytes as u64 * len as u64;
-        self.segments[region.idx()] = Some(Segment { base, elem_bytes, len: len as u64 });
+        self.segments[region.idx()] = Segment { base, elem_bytes, len: len as u64 };
         // Advance, line-aligned, with one guard line between regions.
         self.cursor = (base + bytes + 2 * self.line_bytes - 1) / self.line_bytes * self.line_bytes;
         self
@@ -191,11 +202,22 @@ impl AddressMap {
     /// Panics if the region was not added or `index` is out of range.
     #[inline]
     pub fn addr(&self, region: Region, index: u64) -> u64 {
-        let seg = self.segments[region.idx()]
-            .as_ref()
-            .unwrap_or_else(|| panic!("region {region:?} not laid out"));
-        assert!(index < seg.len, "index {index} out of range for {region:?} (len {})", seg.len);
+        let seg = &self.segments[region.idx()];
+        if index >= seg.len {
+            self.bad_index(region, index);
+        }
         seg.base + index * seg.elem_bytes as u64
+    }
+
+    /// The panic of [`addr`](Self::addr), kept out of its inlined body.
+    #[cold]
+    #[inline(never)]
+    fn bad_index(&self, region: Region, index: u64) -> ! {
+        let seg = &self.segments[region.idx()];
+        if !seg.is_present() {
+            panic!("region {region:?} not laid out");
+        }
+        panic!("index {index} out of range for {region:?} (len {})", seg.len);
     }
 
     /// The region containing byte address `a`.
@@ -205,10 +227,9 @@ impl AddressMap {
     /// Panics if `a` falls outside every region (including guard space).
     pub fn classify(&self, a: u64) -> Region {
         for region in Region::ALL {
-            if let Some(seg) = &self.segments[region.idx()] {
-                if a >= seg.base && a < seg.base + seg.len * seg.elem_bytes as u64 {
-                    return region;
-                }
+            let seg = &self.segments[region.idx()];
+            if a >= seg.base && a < seg.base + seg.len * seg.elem_bytes as u64 {
+                return region;
             }
         }
         panic!("address {a:#x} not mapped to any region");
@@ -221,7 +242,8 @@ impl AddressMap {
 
     /// Number of elements laid out in `region`, if present.
     pub fn len_of(&self, region: Region) -> Option<u64> {
-        self.segments[region.idx()].as_ref().map(|s| s.len)
+        let seg = &self.segments[region.idx()];
+        seg.is_present().then_some(seg.len)
     }
 
     /// Cache-line size the map was created with.
@@ -300,6 +322,18 @@ mod tests {
     fn missing_region_panics() {
         let m = sample();
         let _ = m.addr(Region::VOagEdge, 0);
+    }
+
+    /// A region added with no elements is laid out (`len_of` is
+    /// `Some(0)`) but every index is out of range; only a region never
+    /// added reports "not laid out".
+    #[test]
+    #[should_panic(expected = "index 0 out of range for Other (len 0)")]
+    fn empty_region_is_laid_out_but_unindexable() {
+        let mut m = sample();
+        m.add(Region::Other, 8, 0);
+        assert_eq!(m.len_of(Region::Other), Some(0));
+        let _ = m.addr(Region::Other, 0);
     }
 
     #[test]

@@ -72,10 +72,15 @@ impl std::error::Error for MachineConfigError {}
 pub struct Machine {
     cfg: SystemConfig,
     map: AddressMap,
-    l1: Vec<Cache>,
-    l2: Vec<Cache>,
-    l3_banks: Vec<Cache>,
-    noc: MeshNoc,
+    /// Private L1s, one instance per core.
+    l1: Cache,
+    /// Private L2s, one instance per core.
+    l2: Cache,
+    /// Shared L3, one instance per bank.
+    l3: Cache,
+    /// NoC request + response latency, `num_cores × l3_banks`, indexed
+    /// `core * l3_banks + bank` (from [`MeshNoc::round_trip`]).
+    noc_round_trip: Box<[u64]>,
     dram: DramModel,
     stats: MemStats,
     /// `log2(line_bytes)`: byte address -> line number.
@@ -122,11 +127,15 @@ impl Machine {
         // allocation: only pages holding slots of lines that some L2 has
         // cached are ever touched.
         let lines = map.footprint().div_ceil(cfg.line_bytes as u64) as usize;
+        let noc = MeshNoc::new(cfg.noc);
+        let noc_round_trip = (0..cfg.num_cores)
+            .flat_map(|core| (0..cfg.l3_banks).map(move |bank| noc.round_trip(core, bank)))
+            .collect();
         Ok(Machine {
-            l1: (0..cfg.num_cores).map(|_| Cache::new(&cfg.l1, cfg.line_bytes)).collect(),
-            l2: (0..cfg.num_cores).map(|_| Cache::new(&cfg.l2, cfg.line_bytes)).collect(),
-            l3_banks: (0..cfg.l3_banks).map(|_| Cache::new(&bank_cfg, cfg.line_bytes)).collect(),
-            noc: MeshNoc::new(cfg.noc),
+            l1: Cache::new(&cfg.l1, cfg.line_bytes, cfg.num_cores),
+            l2: Cache::new(&cfg.l2, cfg.line_bytes, cfg.num_cores),
+            l3: Cache::new(&bank_cfg, cfg.line_bytes, cfg.l3_banks),
+            noc_round_trip,
             dram: DramModel::new(cfg.dram),
             stats: MemStats::new(),
             line_shift: cfg.line_bytes.trailing_zeros(),
@@ -174,10 +183,16 @@ impl Machine {
 
     /// Simulates one access. See the type-level docs for parameter meaning.
     ///
+    /// `#[inline]` so that callers in other crates, which pass `kind` and
+    /// `entry` as constants, can get a copy specialized to them. The body
+    /// is the L1 and L2 lookups; eviction handling and the path past an L2
+    /// miss are out-of-line calls, which keeps it small enough to inline.
+    ///
     /// # Panics
     ///
     /// Panics if `core >= num_cores`, the region is not laid out, or the
     /// index is out of range.
+    #[inline]
     pub fn access(
         &mut self,
         core: usize,
@@ -196,7 +211,7 @@ impl Machine {
         // ---- L1 (skipped for engine-entry accesses) ----
         if entry == Level::L1 {
             latency += self.cfg.l1.latency;
-            let l1_res = self.l1[core].access(addr, write);
+            let l1_res = self.l1.access(core, addr, write);
             if l1_res.hit {
                 if write {
                     latency += self.invalidate_remote_sharers(core, line);
@@ -207,17 +222,16 @@ impl Machine {
             // The miss above already allocated the line (single-pass model);
             // fold the dirty victim, if any, into the inclusive L2 copy.
             if let Some(victim) = l1_res.writeback {
-                if !self.l2[core].mark_dirty(victim) {
-                    // L2 (and hence L3) already lost the line.
-                    self.stats.record_writeback(self.map.classify(victim));
-                }
+                self.handle_l1_writeback(core, victim);
             }
         }
 
         // ---- L2 ----
         latency += self.cfg.l2.latency;
-        let l2_res = self.l2[core].access(addr, write && entry == Level::L2);
-        self.handle_private_fill_side_effects(core, l2_res.evicted, l2_res.writeback);
+        let l2_res = self.l2.access(core, addr, write && entry == Level::L2);
+        if let Some(victim) = l2_res.evicted {
+            self.handle_l2_eviction(core, victim, l2_res.writeback.is_some());
+        }
         if l2_res.hit {
             if write {
                 latency += self.invalidate_remote_sharers(core, line);
@@ -225,15 +239,31 @@ impl Machine {
             self.stats.record(region, Level::L2);
             return AccessResult { level: Level::L2, latency };
         }
+        self.access_past_l2(core, region, addr, write, latency, now)
+    }
+
+    /// The rest of [`access`](Self::access) after an L2 miss, which already
+    /// filled the line into `core`'s L2: the sharer directory, the L3 bank
+    /// over the NoC, and DRAM. `latency` is what the access has cost so far.
+    fn access_past_l2(
+        &mut self,
+        core: usize,
+        region: Region,
+        addr: u64,
+        write: bool,
+        mut latency: u64,
+        now: u64,
+    ) -> AccessResult {
+        let line = self.line_addr(addr);
         // Newly filled into this core's L2: record it as a sharer.
         let slot = self.line_no(line);
         self.directory[slot] |= 1 << core;
 
         // ---- L3 (over the NoC) ----
         let bank = self.bank_of(line);
-        latency += self.noc.round_trip(core, bank);
+        latency += self.noc_round_trip[core * self.cfg.l3_banks + bank];
         latency += self.cfg.l3.latency;
-        let l3_res = self.l3_banks[bank].access(addr, false);
+        let l3_res = self.l3.access(bank, addr, false);
         if let Some(evicted) = l3_res.evicted {
             self.handle_l3_eviction(evicted, l3_res.writeback.is_some());
         }
@@ -251,28 +281,31 @@ impl Machine {
         AccessResult { level: Level::Mem, latency }
     }
 
+    /// Folds a dirty line evicted from `core`'s L1 into its inclusive L2
+    /// copy, or writes it back to DRAM if the L2 (and hence the L3) already
+    /// lost the line.
+    fn handle_l1_writeback(&mut self, core: usize, victim_line: u64) {
+        if !self.l2.mark_dirty(core, victim_line) {
+            self.stats.record_writeback(self.map.classify(victim_line));
+        }
+    }
+
     /// Handles the eviction side effects of a fill into a private L2:
     /// back-invalidate the core's L1 copy (inclusion) and push dirty data
     /// toward the L3 (or memory if the L3 no longer holds the line).
-    fn handle_private_fill_side_effects(
-        &mut self,
-        core: usize,
-        evicted: Option<u64>,
-        writeback: Option<u64>,
-    ) {
-        let Some(victim_line) = evicted else { return };
+    fn handle_l2_eviction(&mut self, core: usize, victim_line: u64, l2_dirty: bool) {
         // Inclusion: L1 cannot keep a line its L2 lost.
-        let l1_dirty = self.l1[core].invalidate(victim_line).unwrap_or(false);
+        let l1_dirty = self.l1.invalidate(core, victim_line).unwrap_or(false);
         let slot = self.line_no(victim_line);
         self.directory[slot] &= !(1 << core);
-        if writeback.is_some() || l1_dirty {
+        if l2_dirty || l1_dirty {
             let region = self.map.classify(victim_line);
             // The read-only OAG arrays are never dirty (paper §V-A notes
             // their lines are dropped, not written back); assert the model
             // agrees rather than special-casing.
             debug_assert!(!region.is_oag(), "OAG lines must never be dirty");
             let bank = self.bank_of(victim_line);
-            if !self.l3_banks[bank].mark_dirty(victim_line) {
+            if !self.l3.mark_dirty(bank, victim_line) {
                 // L3 already lost the line: the writeback goes to DRAM.
                 self.stats.record_writeback(region);
             }
@@ -290,8 +323,8 @@ impl Machine {
             let shares = std::mem::take(&mut self.directory[slot]);
             for core in 0..self.cfg.num_cores {
                 if shares & (1 << core) != 0 {
-                    dirty |= self.l1[core].invalidate(victim_line).unwrap_or(false);
-                    dirty |= self.l2[core].invalidate(victim_line).unwrap_or(false);
+                    dirty |= self.l1.invalidate(core, victim_line).unwrap_or(false);
+                    dirty |= self.l2.invalidate(core, victim_line).unwrap_or(false);
                 }
             }
         }
@@ -312,14 +345,14 @@ impl Machine {
         let mut dirty = false;
         for other in 0..self.cfg.num_cores {
             if others & (1 << other) != 0 {
-                dirty |= self.l1[other].invalidate(line).unwrap_or(false);
-                dirty |= self.l2[other].invalidate(line).unwrap_or(false);
+                dirty |= self.l1.invalidate(other, line).unwrap_or(false);
+                dirty |= self.l2.invalidate(other, line).unwrap_or(false);
             }
         }
         if dirty {
             // The dirty remote copy is folded into the L3 before our write.
             let bank = self.bank_of(line);
-            if !self.l3_banks[bank].mark_dirty(line) {
+            if !self.l3.mark_dirty(bank, line) {
                 self.stats.record_writeback(self.map.classify(line));
             }
         }
@@ -330,15 +363,9 @@ impl Machine {
     /// Drops every cached line silently (no writebacks, no stats). Use only
     /// between independent simulations sharing a `Machine`.
     pub fn flush_all_silently(&mut self) {
-        for c in &mut self.l1 {
-            c.flush_silently();
-        }
-        for c in &mut self.l2 {
-            c.flush_silently();
-        }
-        for c in &mut self.l3_banks {
-            c.flush_silently();
-        }
+        self.l1.flush_silently();
+        self.l2.flush_silently();
+        self.l3.flush_silently();
         self.directory.fill(0);
     }
 }
@@ -519,7 +546,7 @@ mod tests {
         for (slot, &shares) in m.directory.iter().enumerate() {
             let line = (slot as u64) << m.line_shift;
             let holders = (0..m.cfg.num_cores)
-                .filter(|&c| m.l2[c].contains(line))
+                .filter(|&c| m.l2.contains(c, line))
                 .fold(0u32, |mask, c| mask | 1 << c);
             assert_eq!(shares, holders, "line {line:#x}");
         }

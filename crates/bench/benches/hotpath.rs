@@ -120,20 +120,20 @@ fn bench_cache(smoke: bool, reps: usize) -> KernelResult {
             sum.wrapping_add(c.resident_lines() as u64)
         };
         let run_opt = || {
-            let mut c = archsim::Cache::new(cfg, 64);
+            let mut c = archsim::Cache::new(cfg, 64, 1);
             let mut state = 0x243F_6A88_85A3_08D3u64;
             let mut sum = 0u64;
             for _ in 0..accesses {
                 let s = lcg(&mut state);
                 let addr = (s >> 16) % (cfg.size_bytes as u64 * 8);
                 match s % 16 {
-                    0 => sum = sum.wrapping_add(c.invalidate(addr).map_or(2, u64::from)),
-                    1 => sum = sum.wrapping_add(c.mark_dirty(addr) as u64),
-                    2 => sum = sum.wrapping_add(c.contains(addr) as u64),
-                    _ => sum = fold_access(sum, c.access(addr, s & 1 == 1)),
+                    0 => sum = sum.wrapping_add(c.invalidate(0, addr).map_or(2, u64::from)),
+                    1 => sum = sum.wrapping_add(c.mark_dirty(0, addr) as u64),
+                    2 => sum = sum.wrapping_add(c.contains(0, addr) as u64),
+                    _ => sum = fold_access(sum, c.access(0, addr, s & 1 == 1)),
                 }
             }
-            sum.wrapping_add(c.resident_lines() as u64)
+            sum.wrapping_add(c.resident_lines(0) as u64)
         };
         let (r_ms, o_ms, ref_sum, opt_sum) = time_pair(reps, run_ref, run_opt);
         assert_eq!(ref_sum, opt_sum, "cache kernels diverged ({} B)", cfg.size_bytes);

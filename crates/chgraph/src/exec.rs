@@ -157,6 +157,9 @@ pub(crate) struct Driver<'a> {
     chunks_v: Vec<Chunk>,
     chunks_h: Vec<Chunk>,
     state: State,
+    /// The vertex frontier `algo.init` returned with `state`, taken by
+    /// [`Driver::try_run`].
+    initial_frontier: Frontier,
     /// Cached schedules for all-active algorithms: `[vertex, hyperedge]`.
     schedule_cache: [Option<Vec<CoreSchedule>>; 2],
     engine: EngineReport,
@@ -202,7 +205,7 @@ impl<'a> Driver<'a> {
         let machine = Machine::try_new(cfg.system, map)
             .map_err(|e| ExecError::InvalidConfig(e.to_string()))?;
         let core_mlp = cfg.system.mlp;
-        let (state, _) = algo.init(g);
+        let (state, initial_frontier) = algo.init(g);
         Ok(Driver {
             g,
             algo,
@@ -217,6 +220,7 @@ impl<'a> Driver<'a> {
             chunks_v: partition(g, Side::Vertex, n),
             chunks_h: partition(g, Side::Hyperedge, n),
             state,
+            initial_frontier,
             schedule_cache: [None, None],
             engine: EngineReport::default(),
             total_cycles: 0,
@@ -270,11 +274,12 @@ impl<'a> Driver<'a> {
             self.validate_inputs()?;
         }
         let max_iter = self.cfg.max_iterations.unwrap_or_else(|| self.algo.max_iterations());
-        let (state, frontier0) = self.algo.init(self.g);
-        self.state = state;
         let all_active = self.algo.all_active();
-        let mut frontier_v =
-            if all_active { Frontier::full(self.g.num_vertices()) } else { frontier0 };
+        let mut frontier_v = if all_active {
+            Frontier::full(self.g.num_vertices())
+        } else {
+            std::mem::replace(&mut self.initial_frontier, Frontier::empty(0))
+        };
         let mut iterations = 0usize;
         while iterations < max_iter && !frontier_v.is_empty() {
             self.algo.begin_iteration(self.g, &mut self.state, iterations);
@@ -468,8 +473,9 @@ impl<'a> Driver<'a> {
             Side::Vertex => self.algo.hf_compute_cycles(),
             Side::Hyperedge => self.algo.vf_compute_cycles(),
         };
-        for j in lo..hi {
-            let d = self.g.csr_for(src).targets()[j];
+        let targets = &self.g.csr_for(src).targets()[lo..hi];
+        let all_active = self.algo.all_active();
+        for (j, &d) in (lo..).zip(targets) {
             let m = &mut self.machine;
             let t = &mut self.cores[core];
             core_read(m, t, core, pr.src_incident, j as u64);
@@ -481,7 +487,7 @@ impl<'a> Driver<'a> {
             if outcome.wrote {
                 core_write(m, t, core, pr.dst_value, d as u64);
             }
-            if outcome.activated && next.insert(d) && !self.algo.all_active() {
+            if outcome.activated && next.insert(d) && !all_active {
                 // Test-and-set: only the first activation stores the bit.
                 let w = bitmap_word(self.g, src.opposite(), true, d);
                 core_write(m, t, core, Region::Bitmap, w);
@@ -519,8 +525,9 @@ impl<'a> Driver<'a> {
             Side::Vertex => self.algo.hf_compute_cycles(),
             Side::Hyperedge => self.algo.vf_compute_cycles(),
         };
-        for j in lo..hi {
-            let d = self.g.csr_for(src).targets()[j];
+        let targets = &self.g.csr_for(src).targets()[lo..hi];
+        let all_active = self.algo.all_active();
+        for (j, &d) in (lo..).zip(targets) {
             // FIFO back-pressure: the CP may run at most `fifo_capacity`
             // tuples ahead of the core.
             if ring.len() >= self.cfg.fifo_capacity {
@@ -549,7 +556,7 @@ impl<'a> Driver<'a> {
             if outcome.wrote {
                 core_write(m, t, core, pr.dst_value, d as u64);
             }
-            if outcome.activated && next.insert(d) && !self.algo.all_active() {
+            if outcome.activated && next.insert(d) && !all_active {
                 let w = bitmap_word(self.g, src.opposite(), true, d);
                 core_write(m, t, core, Region::Bitmap, w);
             }

@@ -1,7 +1,7 @@
-//! Load generator for `chgraphd`, emitting `BENCH_serve.json`.
+//! Load generator for `chgraphd`, emitting a JSON load record.
 //!
 //! ```text
-//! serve-bench --clients 4 --requests 32 --scale 0.05 --out BENCH_serve.json
+//! serve-bench --clients 4 --requests 32 --scale 0.05 --out serve-bench.json
 //! serve-bench --addr 127.0.0.1:7411 ...   (drive an external daemon instead)
 //! ```
 //!
@@ -44,7 +44,7 @@ fn usage() -> ExitCode {
          \x20                                  chaos, default 0.25)\n\
          \x20            [--retries <n>]      (attempts per request; default 5 under\n\
          \x20                                  chaos, 1 otherwise)\n\
-         \x20            [--out <file>]       (default BENCH_serve.json)"
+         \x20            [--out <file>]       (default serve-bench.json)"
     );
     ExitCode::FAILURE
 }
@@ -173,7 +173,7 @@ fn run(flags: HashMap<String, String>) -> Result<(), String> {
     let dataset = flags.get("dataset").cloned().unwrap_or_else(|| "LJ".to_string());
     let scale: f64 =
         flags.get("scale").map_or(Ok(0.05), |v| v.parse().map_err(|_| "bad --scale"))?;
-    let out_path = flags.get("out").cloned().unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let out_path = flags.get("out").cloned().unwrap_or_else(|| "serve-bench.json".to_string());
     let chaos_seed: Option<u64> =
         flags.get("chaos-seed").map(|v| v.parse().map_err(|_| "bad --chaos-seed")).transpose()?;
     let error_rate: f64 =

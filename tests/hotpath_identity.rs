@@ -3,7 +3,8 @@
 //! Three kernels (the set-associative cache, the OAG build, chain
 //! generation) were rewritten with flat layouts, keeping the originals as
 //! `archsim::reference` / `oag::reference` under the `reference-kernels`
-//! feature. The cache keeps `u32` LRU stamps that wrap, chain generation
+//! feature. The cache keeps every instance of a level in one array under
+//! one `u32` LRU clock whose stamps wrap, chain generation
 //! an epoch-tagged visited set, and the OAG build half-counts symmetric
 //! overlap with a branch-free scatter into a counter cleared as it drains
 //! (directed hypergraphs count in full and mirror nothing). These
@@ -116,7 +117,7 @@ proptest! {
             ways,
             latency: 1,
         };
-        let mut flat = archsim::Cache::new(&cfg, 64);
+        let mut flat = archsim::Cache::new(&cfg, 64, 1);
         let mut nested = archsim::reference::Cache::new(&cfg, 64);
         for (step, (addr, op, write)) in ops.into_iter().enumerate() {
             if wrap_at == step {
@@ -125,17 +126,60 @@ proptest! {
                 flat.force_stamp(u32::MAX - wrap_back);
             }
             match op {
-                0 => prop_assert_eq!(flat.invalidate(addr), nested.invalidate(addr)),
-                1 => prop_assert_eq!(flat.mark_dirty(addr), nested.mark_dirty(addr)),
-                2 => prop_assert_eq!(flat.contains(addr), nested.contains(addr)),
+                0 => prop_assert_eq!(flat.invalidate(0, addr), nested.invalidate(addr)),
+                1 => prop_assert_eq!(flat.mark_dirty(0, addr), nested.mark_dirty(addr)),
+                2 => prop_assert_eq!(flat.contains(0, addr), nested.contains(addr)),
                 3 => {
                     flat.flush_silently();
                     nested.flush_silently();
                 }
-                _ => prop_assert_eq!(flat.access(addr, write), nested.access(addr, write)),
+                _ => prop_assert_eq!(flat.access(0, addr, write), nested.access(addr, write)),
             }
         }
-        prop_assert_eq!(flat.resident_lines(), nested.resident_lines());
+        prop_assert_eq!(flat.resident_lines(0), nested.resident_lines());
+    }
+
+    /// The instances of one cache array are independent caches: a random
+    /// stream of accesses, probes, invalidations and dirty marks spread
+    /// over 1–8 instances, crossing the array's shared LRU-clock wrap,
+    /// gives each instance exactly the results of its own nested reference
+    /// cache fed only that instance's ops, down to the final census.
+    fn cache_instances_are_isolated(
+        geometry in (0usize..5, 1usize..5),
+        count in 1usize..9,
+        ops in prop::collection::vec(
+            (0usize..8, 0u64..(1 << 14), 0u32..16, any::<bool>()),
+            1..800,
+        ),
+        // `wrap_at >= 800` (half the range) means the stream never wraps.
+        wrap_at in 0usize..1600,
+        wrap_back in 0u32..4,
+    ) {
+        let (set_pow, ways) = geometry;
+        let cfg = archsim::CacheConfig {
+            size_bytes: 64 * ways * (1 << set_pow),
+            ways,
+            latency: 1,
+        };
+        let mut flat = archsim::Cache::new(&cfg, 64, count);
+        let mut nested: Vec<_> =
+            (0..count).map(|_| archsim::reference::Cache::new(&cfg, 64)).collect();
+        for (k, (i, addr, op, write)) in ops.into_iter().enumerate() {
+            if wrap_at == k {
+                flat.force_stamp(u32::MAX - wrap_back);
+            }
+            let i = i % count;
+            let r = &mut nested[i];
+            match op {
+                0 => prop_assert_eq!(flat.invalidate(i, addr), r.invalidate(addr), "{}", k),
+                1 => prop_assert_eq!(flat.mark_dirty(i, addr), r.mark_dirty(addr), "{}", k),
+                2 => prop_assert_eq!(flat.contains(i, addr), r.contains(addr), "{}", k),
+                _ => prop_assert_eq!(flat.access(i, addr, write), r.access(addr, write), "{}", k),
+            }
+        }
+        for (i, r) in nested.iter().enumerate() {
+            prop_assert_eq!(flat.resident_lines(i), r.resident_lines(), "instance {}", i);
+        }
     }
 
     /// The half-counting OAG build (serial and threaded) == the

@@ -138,14 +138,14 @@ proptest! {
     ) {
         use archsim::{Cache, CacheConfig};
         // 2 sets x 4 ways.
-        let mut cache = Cache::new(&CacheConfig { size_bytes: 512, ways: 4, latency: 1 }, 64);
+        let mut cache = Cache::new(&CacheConfig { size_bytes: 512, ways: 4, latency: 1 }, 64, 1);
         // Reference: per-set LRU list of line numbers.
         let mut sets: Vec<Vec<u64>> = vec![Vec::new(); 2];
         for (line, write) in addrs {
             let addr = line * 64;
             let set = (line % 2) as usize;
             let expected_hit = sets[set].contains(&line);
-            let got = cache.access(addr, write);
+            let got = cache.access(0, addr, write);
             prop_assert_eq!(got.hit, expected_hit, "line {} set {}", line, set);
             if expected_hit {
                 let pos = sets[set].iter().position(|&l| l == line).unwrap();
