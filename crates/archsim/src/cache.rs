@@ -6,12 +6,14 @@
 //! per set or a `Cache` per core: one simulated access touches a handful
 //! of adjacent array slots with no pointer chase and no per-access
 //! allocation, which matters because every simulated memory reference in
-//! this repository funnels through [`Cache::access`]. A machine level with
-//! one cache per core (or per L3 bank) is one `Cache` with that many
-//! instances; instance `i` owns entries `i · sets · ways ..`. The
-//! pre-rewrite nested layout of a single cache is retained in
-//! [`crate::reference`] (under the `reference-kernels` feature) and the
-//! identity tests pin every instance bit-identical to its own copy of it.
+//! this repository funnels through [`Cache::access`]. That function keeps
+//! only the hit case inline; the victim scan and fill are the out-of-line
+//! `Cache::fill`. A machine level with one cache per core (or per L3 bank)
+//! is one `Cache` with that many instances; instance `i` owns entries
+//! `i · sets · ways ..`. The pre-rewrite nested layout of a single cache is
+//! retained in [`crate::reference`] (under the `reference-kernels`
+//! feature) and the identity tests pin every instance bit-identical to its
+//! own copy of it.
 
 use crate::CacheConfig;
 
@@ -142,6 +144,7 @@ impl Cache {
     /// preserve that order exactly, so compaction is unobservable; it runs
     /// once per `u32::MAX` accesses to the whole array (amortized zero)
     /// plus on [`force_stamp`](Self::force_stamp).
+    #[cold]
     fn compact_stamps(&mut self) {
         let ways = self.ways;
         let mut old: Vec<u32> = Vec::with_capacity(ways);
@@ -175,6 +178,11 @@ impl Cache {
     /// Looks up `addr` in instance `i`; on a miss, fills the line
     /// (write-allocate). `write` marks the line dirty.
     ///
+    /// Only the hit case is inline: the stamp bump, the hit scan and the
+    /// hit update. A miss tails into the out-of-line `Cache::fill`, which
+    /// keeps this body small enough to inline into every
+    /// [`Machine::access`](crate::Machine::access) call site.
+    ///
     /// # Panics
     ///
     /// Panics if `i >= count`.
@@ -184,7 +192,6 @@ impl Cache {
             self.compact_stamps();
         }
         self.stamp += 1;
-        let stamp = self.stamp;
         let (set_idx, base, probe) = self.locate(i, addr);
         let tags = &self.tags[base..base + self.ways];
         // Hit scan: a fixed-trip pass over the set's tags alone (validity is
@@ -196,16 +203,27 @@ impl Cache {
                 hit = Some(way);
             }
         }
-        if let Some(way) = hit {
-            self.stamps[base + way] = stamp;
-            if write {
-                self.flags[base + way] |= DIRTY;
+        match hit {
+            Some(way) => {
+                self.stamps[base + way] = self.stamp;
+                if write {
+                    self.flags[base + way] |= DIRTY;
+                }
+                CacheAccess { hit: true, writeback: None, evicted: None }
             }
-            return CacheAccess { hit: true, writeback: None, evicted: None };
+            None => self.fill(set_idx, base, probe, write),
         }
-        // Victim scan, misses only: the first way with the least LRU key,
-        // where invalid ways key 0 and valid ones `stamp + 1`, matching the
-        // reference layout's `min_by_key` tie-breaking exactly.
+    }
+
+    /// The miss half of [`access`](Self::access): picks the victim in the
+    /// set at `base`, reports its eviction (and writeback, if dirty), and
+    /// fills `probe` over it with the current stamp.
+    #[inline(never)]
+    fn fill(&mut self, set_idx: usize, base: usize, probe: u64, write: bool) -> CacheAccess {
+        // Victim scan: the first way with the least LRU key, where invalid
+        // ways key 0 and valid ones `stamp + 1`, matching the reference
+        // layout's `min_by_key` tie-breaking exactly.
+        let tags = &self.tags[base..base + self.ways];
         let stamps = &self.stamps[base..base + self.ways];
         let mut victim = base;
         let mut victim_key = u32::MAX;
@@ -216,7 +234,6 @@ impl Cache {
                 victim = base + way;
             }
         }
-        // Miss: fill over the victim.
         let mut writeback = None;
         let mut evicted = None;
         let vt = self.tags[victim];
@@ -228,7 +245,7 @@ impl Cache {
             }
         }
         self.tags[victim] = probe;
-        self.stamps[victim] = stamp;
+        self.stamps[victim] = self.stamp;
         self.flags[victim] = if write { DIRTY } else { 0 };
         CacheAccess { hit: false, writeback, evicted }
     }

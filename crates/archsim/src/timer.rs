@@ -84,6 +84,7 @@ impl CoreTimer {
     }
 
     /// Advances this timer to `other` if `other` is ahead (barrier).
+    #[inline]
     pub fn sync_to(&mut self, other: u64) {
         self.cycles = self.cycles.max(other);
     }

@@ -25,7 +25,6 @@ use archsim::{AccessKind, CoreTimer, Level, Machine, Region};
 use hypergraph::chunk::{partition, Chunk};
 use hypergraph::{Frontier, Hypergraph, Side};
 use oag::{generate_chains_observed_with_scratch, ChainObserver, ChainScratch, Oag};
-use std::collections::VecDeque;
 
 /// How the schedule is produced and who performs loads.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,6 +48,43 @@ pub(crate) enum ExecMode {
     /// structure (no OAG), traversing two bipartite edges per neighbor
     /// candidate (§II-C).
     HatsTraversal,
+}
+
+/// One core's bipartite-edge FIFO back-pressure within a phase: the core's
+/// completion times of its last `fifo_capacity` tuples. The driver only
+/// asks when the core finished the tuple `fifo_capacity` tuples ago, so a
+/// fixed array with a wrapping cursor answers it exactly.
+struct TupleRing {
+    slots: Vec<u64>,
+    /// Next slot to write; once the ring is full, also the oldest entry.
+    next: usize,
+    full: bool,
+}
+
+impl TupleRing {
+    /// An empty ring of `capacity` slots. [`Driver::try_new`] rejects a
+    /// zero capacity for the modes that use the ring.
+    fn new(capacity: usize) -> Self {
+        TupleRing { slots: vec![0; capacity], next: 0, full: false }
+    }
+
+    /// The completion time pushed `capacity` pushes ago, once there is one.
+    #[inline]
+    fn oldest(&self) -> Option<u64> {
+        self.full.then(|| self.slots[self.next])
+    }
+
+    /// Records the core's completion time of its latest tuple, replacing
+    /// the oldest entry once the ring is full.
+    #[inline]
+    fn push(&mut self, done_at: u64) {
+        self.slots[self.next] = done_at;
+        self.next += 1;
+        if self.next == self.slots.len() {
+            self.next = 0;
+            self.full = true;
+        }
+    }
 }
 
 /// Cycle costs of schedule-generation micro-ops.
@@ -200,6 +236,13 @@ impl<'a> Driver<'a> {
         h_oag: Option<&'a Oag>,
         v_oag: Option<&'a Oag>,
     ) -> Result<Self, ExecError> {
+        let decoupled =
+            matches!(mode, ExecMode::HardwareChains { prefetch: true } | ExecMode::HatsTraversal);
+        if decoupled && cfg.fifo_capacity == 0 {
+            return Err(ExecError::InvalidConfig(
+                "fifo_capacity must be at least 1 for a decoupled engine".to_string(),
+            ));
+        }
         let n = cfg.system.num_cores;
         let map = layout_for(g, h_oag, v_oag, cfg.system.line_bytes);
         let machine = Machine::try_new(cfg.system, map)
@@ -337,8 +380,8 @@ impl<'a> Driver<'a> {
         let schedules = self.make_schedules(src, frontier, phase)?;
 
         // Ring buffers implementing the bipartite-edge FIFO back-pressure.
-        let mut tuple_ring: Vec<VecDeque<u64>> =
-            (0..n_cores).map(|_| VecDeque::with_capacity(self.cfg.fifo_capacity)).collect();
+        let mut tuple_ring: Vec<TupleRing> =
+            (0..n_cores).map(|_| TupleRing::new(self.cfg.fifo_capacity)).collect();
         let prefetch_mode = self.mode == ExecMode::IndexOrderedPrefetch;
         if prefetch_mode {
             // Warm-up: prefetch the first `distance` elements of each core.
@@ -505,7 +548,7 @@ impl<'a> Driver<'a> {
         e: u32,
         emitted_at: u64,
         next: &mut Frontier,
-        ring: &mut VecDeque<u64>,
+        ring: &mut TupleRing,
     ) {
         let pr = phase_regions(src);
         let (lo, hi) = self.g.csr_for(src).target_range(e as usize);
@@ -530,10 +573,7 @@ impl<'a> Driver<'a> {
         for (j, &d) in (lo..).zip(targets) {
             // FIFO back-pressure: the CP may run at most `fifo_capacity`
             // tuples ahead of the core.
-            if ring.len() >= self.cfg.fifo_capacity {
-                // invariant: fifo_capacity >= 1, so a ring at capacity has
-                // a front element.
-                let must_wait = ring.pop_front().expect("ring nonempty");
+            if let Some(must_wait) = ring.oldest() {
                 let stall = must_wait.saturating_sub(self.cp[core].now());
                 self.engine.fifo_full_stalls += stall;
                 self.cp[core].sync_to(must_wait);
@@ -560,7 +600,7 @@ impl<'a> Driver<'a> {
                 let w = bitmap_word(self.g, src.opposite(), true, d);
                 core_write(m, t, core, Region::Bitmap, w);
             }
-            ring.push_back(self.cores[core].now());
+            ring.push(self.cores[core].now());
         }
     }
 
@@ -1150,5 +1190,22 @@ mod tests {
             hw.cycles,
             sw.cycles
         );
+    }
+
+    /// The fixed ring answers exactly what a `VecDeque` popped at capacity
+    /// answers: the value pushed `capacity` pushes ago, once there is one.
+    #[test]
+    fn tuple_ring_matches_a_bounded_queue() {
+        for capacity in [1usize, 2, 5, 32] {
+            let mut ring = TupleRing::new(capacity);
+            let mut queue = std::collections::VecDeque::new();
+            for t in 0..200u64 {
+                let want = if queue.len() >= capacity { queue.pop_front() } else { None };
+                assert_eq!(ring.oldest(), want, "capacity {capacity}, push {t}");
+                let v = t.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                ring.push(v);
+                queue.push_back(v);
+            }
+        }
     }
 }

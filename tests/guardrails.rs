@@ -7,8 +7,8 @@
 //! traced to the invariant it protects.
 
 use chgraph::{
-    Algorithm, Budget, ChGraphRuntime, ExecError, GlaRuntime, HygraRuntime, RunConfig, Runtime,
-    State, UpdateOutcome, WatchdogConfig,
+    Algorithm, Budget, ChGraphRuntime, ExecError, GlaRuntime, HatsVRuntime, HygraRuntime,
+    PrefetcherRuntime, RunConfig, Runtime, State, UpdateOutcome, WatchdogConfig,
 };
 use hyperalgos::{self_check, SelfCheckError, Workload};
 use hypergraph::generate::GeneratorConfig;
@@ -266,6 +266,30 @@ fn unsimulatable_machine_configs_are_typed_errors() {
             assert!(msg.contains("directory bitmask supports up to 32 cores"), "{msg}");
         }
         other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+}
+
+/// A zero-entry bipartite-edge FIFO cannot be simulated by the decoupled
+/// engines (full ChGraph, HATS-V), so construction rejects it before the
+/// first cycle; runtimes that never use the FIFO still accept it.
+#[test]
+fn zero_fifo_capacity_is_a_typed_error_only_for_decoupled_engines() {
+    let g = GeneratorConfig::new(64, 32).with_seed(14).generate();
+    let mut cfg = small_cfg();
+    cfg.fifo_capacity = 0;
+    let algo = hyperalgos::ConnectedComponents;
+    for runtime in [&ChGraphRuntime::new() as &dyn Runtime, &HatsVRuntime] {
+        match runtime.try_execute(&g, &algo, &cfg) {
+            Err(ExecError::InvalidConfig(msg)) => assert!(msg.contains("fifo_capacity"), "{msg}"),
+            other => panic!("{}: expected InvalidConfig, got {other:?}", runtime.name()),
+        }
+    }
+    let hcg_only = ChGraphRuntime::hcg_only();
+    for runtime in [&HygraRuntime as &dyn Runtime, &GlaRuntime, &hcg_only, &PrefetcherRuntime] {
+        let r = runtime
+            .try_execute(&g, &algo, &cfg)
+            .unwrap_or_else(|e| panic!("{}: no FIFO, so capacity 0 is fine: {e}", runtime.name()));
+        assert!(r.cycles > 0, "{}", runtime.name());
     }
 }
 

@@ -261,8 +261,11 @@ proptest! {
 /// config a request without knobs gets), PageRank under ChGraph and GLA
 /// (writes to shared lines exercise remote-sharer invalidation), and the
 /// ChGraph PageRank cell on an inclusive L3 (back-invalidation on L3
-/// eviction). Each expectation is `(fingerprint_report,
-/// main_memory_accesses, invalidations)`.
+/// eviction). Two more ChGraph PageRank cells, recorded on the commit
+/// before the bipartite-edge FIFO became a fixed ring, pin the FIFO's
+/// back-pressure at both extremes: a 1-entry FIFO (the ring wraps on every
+/// tuple) and one that never fills. Each expectation is
+/// `(fingerprint_report, main_memory_accesses, invalidations)`.
 #[test]
 fn simulated_results_match_golden_fingerprints() {
     use archsim::SystemConfig;
@@ -277,10 +280,17 @@ fn simulated_results_match_golden_fingerprints() {
     let mut inclusive = SystemConfig::scaled16();
     inclusive.l3_inclusive = true;
     let pr_inclusive = pr.with_system(inclusive);
+    let mut fifo_one = pr;
+    fifo_one.fifo_capacity = 1;
+    // The ring spans a whole phase of one core, so only a capacity above
+    // the total tuple count keeps it from ever filling.
+    let mut fifo_never_full = pr;
+    fifo_never_full.fifo_capacity = g.num_bipartite_edges() + 1;
     let check = |name: &str, workload, runtime: &dyn Runtime, cfg: &RunConfig, want| {
         let r = try_run_workload_prepared(workload, runtime, &g, cfg, None).expect(name);
         let got = (fingerprint_report(&r), r.mem.main_memory_accesses(), r.mem.invalidations);
         assert_eq!(got, want, "{name}: (fingerprint, main-memory accesses, invalidations)");
+        r
     };
     let chgraph = ChGraphRuntime::new();
     check(
@@ -299,4 +309,20 @@ fn simulated_results_match_golden_fingerprints() {
         &pr_inclusive,
         (0x85b6_85bc_0dfc_3e21, 13420, 23691),
     );
+    check(
+        "PR/ChGraph, 1-entry FIFO",
+        Workload::Pr,
+        &chgraph,
+        &fifo_one,
+        (0xad32_99da_8b32_13b6, 5658, 24312),
+    );
+    let r = check(
+        "PR/ChGraph, FIFO never full",
+        Workload::Pr,
+        &chgraph,
+        &fifo_never_full,
+        (0x3cb0_00b5_e3c1_9e51, 5658, 24312),
+    );
+    let engine = r.engine.expect("ChGraph reports its engine");
+    assert_eq!(engine.fifo_full_stalls, 0, "a ring that never fills never stalls the CP");
 }
