@@ -138,7 +138,7 @@ impl PreprocessCache {
         Ok(cache)
     }
 
-    /// Selects what [`quarantine`](Self::quarantine) does with a corrupt
+    /// Selects what quarantining does with a corrupt
     /// entry: `false` (default) renames it to `*.corrupt` for post-mortems;
     /// `true` deletes it outright — the policy for long-lived daemons whose
     /// cache directory must stay residue-free across crash recovery.

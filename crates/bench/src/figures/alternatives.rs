@@ -4,8 +4,7 @@
 use super::{fx, grid, Harness, System};
 use crate::{load_graph_scaled, Table};
 use chgraph::baseline::reorder::run_reordered;
-use chgraph::{ChGraphRuntime, HatsVRuntime, HygraRuntime};
-use hyperalgos::{run_workload, Workload};
+use hyperalgos::{try_run_workload_prepared, Workload};
 use hypergraph::datasets::{Dataset, GraphDataset};
 use std::fmt;
 
@@ -78,9 +77,12 @@ pub fn fig24(h: &Harness) -> Fig24 {
         let g = h.graph(ds);
         let hygra = h.report(ds, Workload::Pr, System::Hygra);
         let chg = h.report(ds, Workload::Pr, System::ChGraph);
-        let hygra_re = run_reordered(&HygraRuntime, &g, &hyperalgos::PageRank::new(), &h.cfg);
-        let chg_re =
-            run_reordered(&ChGraphRuntime::new(), &g, &hyperalgos::PageRank::new(), &h.cfg);
+        let reordered = |sys: System| {
+            run_reordered(sys, &g, &hyperalgos::PageRank::new(), &h.cfg)
+                .unwrap_or_else(|e| panic!("{}: {e}", sys.name()))
+        };
+        let hygra_re = reordered(System::Hygra);
+        let chg_re = reordered(System::ChGraph);
         let s_hr = hygra_re.total_speedup_over(&hygra);
         let s_c = chg.total_speedup_over(&hygra);
         let s_cr = chg_re.total_speedup_over(&hygra);
@@ -120,9 +122,13 @@ pub fn fig25(h: &Harness) -> Fig25 {
     for w in Workload::GRAPH {
         for gd in GraphDataset::ALL {
             let g = load_graph_scaled(gd, h.scale);
-            let ligra = run_workload(w, &HygraRuntime, &g, &h.cfg);
-            let hats = run_workload(w, &HatsVRuntime, &g, &h.cfg);
-            let chg = run_workload(w, &ChGraphRuntime::new(), &g, &h.cfg);
+            let run = |sys: System| {
+                try_run_workload_prepared(w, &sys, &g, &h.cfg, None)
+                    .unwrap_or_else(|e| panic!("{}: {e}", sys.name()))
+            };
+            let ligra = run(System::Hygra);
+            let hats = run(System::HatsV);
+            let chg = run(System::ChGraph);
             let vs_ligra = chg.total_speedup_over(&ligra);
             let vs_hats = chg.total_speedup_over(&hats);
             cells.push((w, gd, vs_ligra, vs_hats));

@@ -48,10 +48,8 @@ pub use statics::{area_table, table1, table2, AreaTable, Table1, Table2};
 
 use crate::cache::PreprocessCache;
 use crate::{ArtifactStore, Memo, Scale};
-use chgraph::{
-    ChGraphRuntime, ExecutionReport, GlaRuntime, HatsVRuntime, HygraRuntime, PrefetcherRuntime,
-    PreparedOags, RunConfig, Runtime,
-};
+pub use chgraph::System;
+use chgraph::{ExecutionReport, PreparedOags, RunConfig};
 use hyperalgos::{self_check_prepared, try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
 use hypergraph::Hypergraph;
@@ -60,54 +58,6 @@ use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// The systems compared across the evaluation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum System {
-    /// Hygra (index-ordered baseline).
-    Hygra,
-    /// Pure-software GLA.
-    Gla,
-    /// Full ChGraph (HCG + CP).
-    ChGraph,
-    /// HCG-only ablation.
-    HcgOnly,
-    /// HATS-V.
-    HatsV,
-    /// Event-driven hardware prefetcher.
-    Prefetcher,
-}
-
-impl System {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            System::Hygra => "Hygra",
-            System::Gla => "GLA",
-            System::ChGraph => "ChGraph",
-            System::HcgOnly => "HCG-only",
-            System::HatsV => "HATS-V",
-            System::Prefetcher => "Prefetcher",
-        }
-    }
-
-    fn runtime(self) -> Box<dyn Runtime> {
-        match self {
-            System::Hygra => Box::new(HygraRuntime),
-            System::Gla => Box::new(GlaRuntime),
-            System::ChGraph => Box::new(ChGraphRuntime::new()),
-            System::HcgOnly => Box::new(ChGraphRuntime::hcg_only()),
-            System::HatsV => Box::new(HatsVRuntime),
-            System::Prefetcher => Box::new(PrefetcherRuntime),
-        }
-    }
-
-    /// Whether this system's runtime builds OAGs (and so benefits from the
-    /// harness's shared [`PreparedOags`]).
-    fn uses_oags(self) -> bool {
-        matches!(self, System::Gla | System::ChGraph | System::HcgOnly)
-    }
-}
 
 /// One evaluation-grid cell.
 pub type Job = (Dataset, Workload, System);
@@ -248,7 +198,7 @@ impl Harness {
 
     /// Enables differential self-checking: every execution is diffed
     /// against the naive reference implementation
-    /// ([`hyperalgos::self_check`]), and a divergence fails the cell.
+    /// ([`hyperalgos::self_check_prepared`]), and a divergence fails the cell.
     /// Reports are bit-identical either way; a failing cell surfaces as a
     /// [`CellError`] through the usual fault-isolation machinery (retried
     /// once, recorded in the [`GridOutcome`]) instead of aborting the grid.
@@ -345,9 +295,8 @@ impl Harness {
             hook((ds, workload, sys));
         }
         let g = self.graph(ds);
-        let prepared = sys.uses_oags().then(|| self.prepared(ds));
-        let runtime = sys.runtime();
-        self.execute(workload, runtime.as_ref(), &g, &self.cfg, prepared.as_deref())
+        let prepared = sys.needs_oags().then(|| self.prepared(ds));
+        self.execute(workload, sys, &g, &self.cfg, prepared.as_deref())
     }
 
     /// Runs one execution, self-checked when the harness asks for it. A
@@ -357,19 +306,19 @@ impl Harness {
     fn execute(
         &self,
         workload: Workload,
-        runtime: &dyn Runtime,
+        sys: System,
         g: &Hypergraph,
         cfg: &RunConfig,
         prepared: Option<&PreparedOags>,
     ) -> ExecutionReport {
         if self.self_check {
-            match self_check_prepared(workload, runtime, g, cfg, prepared) {
+            match self_check_prepared(workload, &sys, g, cfg, prepared) {
                 Ok(checked) => checked.report,
                 Err(e) => panic!("self-check failed: {e}"),
             }
         } else {
-            try_run_workload_prepared(workload, runtime, g, cfg, prepared)
-                .unwrap_or_else(|e| panic!("{}: {e}", runtime.name()))
+            try_run_workload_prepared(workload, &sys, g, cfg, prepared)
+                .unwrap_or_else(|e| panic!("{}: {e}", sys.name()))
         }
     }
 
@@ -422,7 +371,7 @@ impl Harness {
     /// Runs `workload` on `ds` under `sys` with an explicit non-memoized
     /// configuration (sensitivity sweeps). Reuses the harness's prepared
     /// OAGs when `cfg` keeps the harness's OAG parameters — permitted by
-    /// the `try_execute_prepared` bit-identity contract.
+    /// [`System::run`]'s bit-identity contract.
     pub fn run_with(
         &self,
         ds: Dataset,
@@ -431,8 +380,8 @@ impl Harness {
         cfg: &RunConfig,
     ) -> ExecutionReport {
         let g = self.graph(ds);
-        let prepared = (sys.uses_oags() && cfg.oag == self.cfg.oag).then(|| self.prepared(ds));
-        self.execute(workload, sys.runtime().as_ref(), &g, cfg, prepared.as_deref())
+        let prepared = (sys.needs_oags() && cfg.oag == self.cfg.oag).then(|| self.prepared(ds));
+        self.execute(workload, sys, &g, cfg, prepared.as_deref())
     }
 
     /// Runs a batch of independent explicit-configuration jobs across the
@@ -697,12 +646,13 @@ mod tests {
 
     #[test]
     fn prepared_reuse_is_bit_identical() {
-        // The memoized path (prepared OAGs) must equal a direct
-        // run_workload with per-execution OAG builds.
+        // The memoized path (prepared OAGs) must equal a direct run with
+        // per-execution OAG builds.
         let h = Harness::new(Scale(0.05));
         let ds = Dataset::LiveJournal;
         let g = h.graph(ds);
-        let direct = hyperalgos::run_workload(Workload::Cc, &ChGraphRuntime::new(), &g, &h.cfg);
+        let direct =
+            try_run_workload_prepared(Workload::Cc, &System::ChGraph, &g, &h.cfg, None).unwrap();
         let memoized = h.report(ds, Workload::Cc, System::ChGraph);
         assert_eq!(direct, *memoized);
     }

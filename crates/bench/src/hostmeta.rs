@@ -1,10 +1,11 @@
 //! Host metadata for benchmark artifacts.
 //!
 //! Committed `BENCH_*.json` records are only interpretable with the host
-//! they were produced on: `BENCH_parallel.json` was measured in a 1-core
-//! container, where no wall-clock speedup is physically possible, and
-//! nothing in the file said so until a human annotated it. Every emitter
-//! embeds a [`HostMeta`] block so the provenance travels with the numbers.
+//! they were produced on: a thread-scaling record taken in a 1-core
+//! container shows no wall-clock speedup because none is physically
+//! possible, and nothing in such a file says so unless the host is
+//! recorded. Every emitter embeds a [`HostMeta`] block so the provenance
+//! travels with the numbers.
 
 use std::time::{SystemTime, UNIX_EPOCH};
 

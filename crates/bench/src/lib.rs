@@ -37,9 +37,9 @@ pub use store::{ArtifactCounters, ArtifactStore};
 pub use table::Table;
 
 /// Default worker-thread count for the CLI binaries: the host's available
-/// parallelism, clamped to at least 1. BENCH_parallel.json measured a 1.33×
-/// oversubscription penalty when a fixed default exceeded the host's cores,
-/// so every binary that fans out defaults to this and lets an explicit
+/// parallelism, clamped to at least 1. A fixed default above the host's
+/// core count was measured to cost a 1.33× oversubscription penalty, so
+/// every binary that fans out defaults to this and lets an explicit
 /// `--threads` value win.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())

@@ -235,8 +235,11 @@ mod tests {
 
     #[test]
     fn outcome_constants() {
-        assert!(!UpdateOutcome::NONE.wrote);
-        assert!(UpdateOutcome::WROTE.wrote && !UpdateOutcome::WROTE.activated);
-        assert!(UpdateOutcome::WROTE_AND_ACTIVATED.activated);
+        // Checked at compile time: a wrong constant fails the build.
+        const {
+            assert!(!UpdateOutcome::NONE.wrote);
+            assert!(UpdateOutcome::WROTE.wrote && !UpdateOutcome::WROTE.activated);
+            assert!(UpdateOutcome::WROTE_AND_ACTIVATED.activated);
+        }
     }
 }

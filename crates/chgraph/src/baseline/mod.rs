@@ -1,97 +1,15 @@
-//! Comparison baselines: HATS-V (§II-C), the event-driven hardware
-//! prefetcher (§VI-H), and the reordering technique (§VI-H).
+//! Comparison baselines. HATS-V (§II-C) and the event-driven hardware
+//! prefetcher (§VI-H) are [`System::HatsV`](crate::System::HatsV) and
+//! [`System::Prefetcher`](crate::System::Prefetcher); the reordering
+//! technique (§VI-H) is [`reorder`].
 
 pub mod reorder;
 
-use crate::exec::{Driver, ExecMode};
-use crate::guard::ExecError;
-use crate::{preprocess, Algorithm, ExecutionReport, RunConfig, Runtime};
-use hypergraph::Hypergraph;
-
-/// HATS-V: the HATS hardware traversal scheduler (Mukkara et al.,
-/// MICRO'18), modified as the paper describes to support hypergraphs —
-/// index renumbering to distinguish vertices from hyperedges, alternating
-/// traversal control, and per-kind update functions.
-///
-/// HATS-V schedules via bounded DFS over the **bipartite structure** rather
-/// than an OAG: discovering each same-side neighbor traverses *two*
-/// bipartite edges, and the successor is the first overlapping element
-/// found, not the maximally-overlapping one. Both deficiencies make it
-/// inferior to ChGraph (Fig. 7).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HatsVRuntime;
-
-impl Runtime for HatsVRuntime {
-    fn name(&self) -> &'static str {
-        "hats-v"
-    }
-
-    fn try_execute(
-        &self,
-        g: &Hypergraph,
-        algo: &dyn Algorithm,
-        cfg: &RunConfig,
-    ) -> Result<ExecutionReport, ExecError> {
-        let out = Driver::try_new(g, algo, cfg, ExecMode::HatsTraversal, None, None)?.try_run()?;
-        Ok(ExecutionReport {
-            runtime: self.name(),
-            algorithm: algo.name(),
-            iterations: out.iterations,
-            cycles: out.cycles,
-            core_busy_cycles: out.core_busy_cycles,
-            mem_stall_cycles: out.mem_stall_cycles,
-            mem: out.mem,
-            state: out.state,
-            engine: Some(out.engine),
-            preprocess: preprocess::report_plain(g),
-        })
-    }
-}
-
-/// The event-driven programmable prefetcher baseline (Ainsworth & Jones,
-/// ASPLOS'18 style): Hygra's index order, with a hardware prefetcher
-/// running a configurable distance ahead of the core, fetching offsets,
-/// incidence lists and destination values into the L2 — plus a fraction of
-/// useless fetches (prefetch inaccuracy).
-///
-/// It hides latency but cannot *reduce* main-memory traffic, which is why
-/// ChGraph outperforms it by changing the schedule instead (Fig. 23).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PrefetcherRuntime;
-
-impl Runtime for PrefetcherRuntime {
-    fn name(&self) -> &'static str {
-        "prefetcher"
-    }
-
-    fn try_execute(
-        &self,
-        g: &Hypergraph,
-        algo: &dyn Algorithm,
-        cfg: &RunConfig,
-    ) -> Result<ExecutionReport, ExecError> {
-        let out =
-            Driver::try_new(g, algo, cfg, ExecMode::IndexOrderedPrefetch, None, None)?.try_run()?;
-        Ok(ExecutionReport {
-            runtime: self.name(),
-            algorithm: algo.name(),
-            iterations: out.iterations,
-            cycles: out.cycles,
-            core_busy_cycles: out.core_busy_cycles,
-            mem_stall_cycles: out.mem_stall_cycles,
-            mem: out.mem,
-            state: out.state,
-            engine: Some(out.engine),
-            preprocess: preprocess::report_plain(g),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{ChGraphRuntime, HygraRuntime, MinLabel};
+    use crate::{MinLabel, RunConfig, System};
     use archsim::SystemConfig;
+    use hypergraph::Hypergraph;
 
     fn graph() -> Hypergraph {
         // Quarter-scale Web-trackers stand-in, matching the scaled caches
@@ -114,10 +32,10 @@ mod tests {
     fn baselines_compute_correct_results() {
         let g = graph();
         let cfg = cfg();
-        let reference = HygraRuntime.execute(&g, &MinLabel, &cfg);
+        let reference = System::Hygra.execute(&g, &MinLabel, &cfg);
         for (name, report) in [
-            ("hats", HatsVRuntime.execute(&g, &MinLabel, &cfg)),
-            ("pf", PrefetcherRuntime.execute(&g, &MinLabel, &cfg)),
+            ("hats", System::HatsV.execute(&g, &MinLabel, &cfg)),
+            ("pf", System::Prefetcher.execute(&g, &MinLabel, &cfg)),
         ] {
             assert_eq!(report.state.vertex_value, reference.state.vertex_value, "{name}");
         }
@@ -128,8 +46,8 @@ mod tests {
         let g = graph();
         let cfg = cfg();
         let pr = crate::testutil::PrLike { iterations: 3 };
-        let hats = HatsVRuntime.execute(&g, &pr, &cfg);
-        let chg = ChGraphRuntime::new().execute(&g, &pr, &cfg);
+        let hats = System::HatsV.execute(&g, &pr, &cfg);
+        let chg = System::ChGraph.execute(&g, &pr, &cfg);
         assert!(
             chg.cycles < hats.cycles,
             "ChGraph ({}) must beat HATS-V ({})",
@@ -143,9 +61,9 @@ mod tests {
         let g = graph();
         let cfg = cfg();
         let pr = crate::testutil::PrLike { iterations: 3 };
-        let hygra = HygraRuntime.execute(&g, &pr, &cfg);
-        let pf = PrefetcherRuntime.execute(&g, &pr, &cfg);
-        let chg = ChGraphRuntime::new().execute(&g, &pr, &cfg);
+        let hygra = System::Hygra.execute(&g, &pr, &cfg);
+        let pf = System::Prefetcher.execute(&g, &pr, &cfg);
+        let chg = System::ChGraph.execute(&g, &pr, &cfg);
         assert!(pf.cycles < hygra.cycles, "prefetching must hide some latency");
         assert!(
             (chg.cycles as f64) < 1.1 * pf.cycles as f64,

@@ -5,10 +5,10 @@
 //! improves *spatial* locality. ChGraph improves *temporal* locality, so
 //! the two compose — but the paper finds the reordering overhead offsets
 //! its benefit. [`run_reordered`] reproduces that comparison: it reorders
-//! the input, runs any runtime on it, and charges the reordering cost as
+//! the input, runs any system on it, and charges the reordering cost as
 //! additional preprocessing.
 
-use crate::{Algorithm, ExecutionReport, RunConfig, Runtime};
+use crate::{Algorithm, ExecError, ExecutionReport, RunConfig, System};
 use hypergraph::{Csr, Hypergraph, Side};
 
 /// Cycles charged per bipartite edge visited during the BFS renumbering —
@@ -87,19 +87,19 @@ pub fn reorder(g: &Hypergraph) -> (Hypergraph, u64) {
     (Hypergraph::from_csr(hyperedge_csr, vertex_csr), ops)
 }
 
-/// Runs `inner` on the reordered hypergraph, charging the reordering cost
+/// Runs `system` on the reordered hypergraph, charging the reordering cost
 /// to preprocessing (Fig. 24's `Hygra+Reordering` / `ChGraph+Reordering`
 /// configurations).
 pub fn run_reordered(
-    inner: &dyn Runtime,
+    system: System,
     g: &Hypergraph,
     algo: &dyn Algorithm,
     cfg: &RunConfig,
-) -> ExecutionReport {
+) -> Result<ExecutionReport, ExecError> {
     let (reordered, ops) = reorder(g);
-    let mut report = inner.execute(&reordered, algo, cfg);
+    let mut report = system.run(&reordered, algo, cfg, None)?;
     report.preprocess.cycles_estimate += ops * CYCLES_PER_REORDER_EDGE;
-    report
+    Ok(report)
 }
 
 #[cfg(test)]

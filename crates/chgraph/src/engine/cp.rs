@@ -265,8 +265,7 @@ mod tests {
             &hcg.emit_times,
             500,
         );
-        let mut model = CpModel::default();
-        model.cycle_budget = Some(unbounded.cycles / 2);
+        let mut model = CpModel { cycle_budget: Some(unbounded.cycles / 2), ..Default::default() };
         let err = model
             .try_run(&g, Side::Hyperedge, hcg.chains.schedule(), &hcg.emit_times, 500)
             .unwrap_err();

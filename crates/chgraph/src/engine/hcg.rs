@@ -285,9 +285,8 @@ mod tests {
     fn cycle_budget_converts_slow_runs_into_typed_errors() {
         let (oag, frontier, n) = oag_and_frontier();
         let unbounded = HcgModel::default().run(&oag, &frontier, 0..n, 200);
-        let mut model = HcgModel::default();
         // A budget below the known total must trip, with partial progress.
-        model.cycle_budget = Some(unbounded.cycles / 2);
+        let mut model = HcgModel { cycle_budget: Some(unbounded.cycles / 2), ..Default::default() };
         let err = model.try_run(&oag, &frontier, 0..n, 200).unwrap_err();
         match err {
             crate::guard::ExecError::BudgetExceeded {

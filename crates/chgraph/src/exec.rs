@@ -5,7 +5,7 @@
 //! of the paper — and differ only in *how the schedule of active elements is
 //! produced* and *which component (core or engine) performs each memory
 //! access*. [`Driver`] implements the procedure once, parameterized by
-//! [`ExecMode`], so every comparison in the evaluation holds everything else
+//! the [`System`], so every comparison in the evaluation holds everything else
 //! equal, exactly as the paper's simulated testbed does.
 //!
 //! Timing model: each general-purpose core owns a [`CoreTimer`]; ChGraph's
@@ -20,35 +20,11 @@
 
 use crate::guard::{ExecError, ExecProgress, Watchdog};
 use crate::layout::{bitmap_word, layout_for};
-use crate::{Algorithm, EngineReport, RunConfig, State};
+use crate::{Algorithm, EngineReport, RunConfig, State, System};
 use archsim::{AccessKind, CoreTimer, Level, Machine, Region};
 use hypergraph::chunk::{partition, Chunk};
 use hypergraph::{Frontier, Hypergraph, Side};
 use oag::{generate_chains_observed_with_scratch, ChainObserver, ChainScratch, Oag};
-
-/// How the schedule is produced and who performs loads.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum ExecMode {
-    /// Hygra: ascending index order; the core does everything.
-    IndexOrdered,
-    /// Hygra order plus an event-driven hardware prefetcher running
-    /// `prefetcher_distance` elements ahead of the core (§VI-H baseline).
-    IndexOrderedPrefetch,
-    /// Software GLA: the core generates chains (Algorithm 3) and then
-    /// processes them itself.
-    SoftwareChains,
-    /// ChGraph family: the HCG generates chains in hardware; with
-    /// `prefetch`, the CP also fetches tuples so the core only applies.
-    HardwareChains {
-        /// Enable the chain-driven prefetcher (full ChGraph) or leave data
-        /// loading to the core (the HCG-only ablation of Fig. 16).
-        prefetch: bool,
-    },
-    /// HATS-V: hardware bounded-DFS traversal over the *bipartite*
-    /// structure (no OAG), traversing two bipartite edges per neighbor
-    /// candidate (§II-C).
-    HatsTraversal,
-}
 
 /// One core's bipartite-edge FIFO back-pressure within a phase: the core's
 /// completion times of its last `fifo_capacity` tuples. The driver only
@@ -167,8 +143,8 @@ struct CoreSchedule {
     chains: u64,
 }
 
-/// Everything produced by one [`Driver::run`] call, before the runtime adds
-/// preprocessing accounting.
+/// Everything produced by one [`Driver::try_run`] call, before
+/// [`System::run`] adds preprocessing accounting.
 pub(crate) struct DriverOutput {
     pub state: State,
     pub iterations: usize,
@@ -183,7 +159,7 @@ pub(crate) struct Driver<'a> {
     g: &'a Hypergraph,
     algo: &'a dyn Algorithm,
     cfg: &'a RunConfig,
-    mode: ExecMode,
+    system: System,
     h_oag: Option<&'a Oag>,
     v_oag: Option<&'a Oag>,
     machine: Machine,
@@ -211,33 +187,15 @@ pub(crate) struct Driver<'a> {
 }
 
 impl<'a> Driver<'a> {
-    /// Infallible construction; see [`Driver::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system configuration cannot be simulated.
-    #[cfg(test)]
-    pub(crate) fn new(
-        g: &'a Hypergraph,
-        algo: &'a dyn Algorithm,
-        cfg: &'a RunConfig,
-        mode: ExecMode,
-        h_oag: Option<&'a Oag>,
-        v_oag: Option<&'a Oag>,
-    ) -> Self {
-        Driver::try_new(g, algo, cfg, mode, h_oag, v_oag).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     pub(crate) fn try_new(
         g: &'a Hypergraph,
         algo: &'a dyn Algorithm,
         cfg: &'a RunConfig,
-        mode: ExecMode,
+        system: System,
         h_oag: Option<&'a Oag>,
         v_oag: Option<&'a Oag>,
     ) -> Result<Self, ExecError> {
-        let decoupled =
-            matches!(mode, ExecMode::HardwareChains { prefetch: true } | ExecMode::HatsTraversal);
+        let decoupled = matches!(system, System::ChGraph | System::HatsV);
         if decoupled && cfg.fifo_capacity == 0 {
             return Err(ExecError::InvalidConfig(
                 "fifo_capacity must be at least 1 for a decoupled engine".to_string(),
@@ -253,7 +211,7 @@ impl<'a> Driver<'a> {
             g,
             algo,
             cfg,
-            mode,
+            system,
             h_oag,
             v_oag,
             machine,
@@ -288,18 +246,8 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Infallible execution; see [`Driver::try_run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ExecError`] message if a guardrail trips.
-    #[cfg(test)]
-    pub(crate) fn run(self) -> DriverOutput {
-        self.try_run().unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Validates the execution inputs — the hypergraph's bipartite CSRs and
-    /// any OAG the mode will walk — before the first simulated cycle.
+    /// any OAG the system will walk — before the first simulated cycle.
     fn validate_inputs(&self) -> Result<(), ExecError> {
         self.g.validate()?;
         for oag in [self.h_oag, self.v_oag].into_iter().flatten() {
@@ -382,7 +330,7 @@ impl<'a> Driver<'a> {
         // Ring buffers implementing the bipartite-edge FIFO back-pressure.
         let mut tuple_ring: Vec<TupleRing> =
             (0..n_cores).map(|_| TupleRing::new(self.cfg.fifo_capacity)).collect();
-        let prefetch_mode = self.mode == ExecMode::IndexOrderedPrefetch;
+        let prefetch_mode = self.system == System::Prefetcher;
         if prefetch_mode {
             // Warm-up: prefetch the first `distance` elements of each core.
             for (core, schedule) in schedules.iter().enumerate().take(n_cores) {
@@ -417,11 +365,11 @@ impl<'a> Driver<'a> {
                     }
                 }
 
-                match self.mode {
-                    ExecMode::IndexOrdered | ExecMode::IndexOrderedPrefetch => {
+                match self.system {
+                    System::Hygra | System::Prefetcher => {
                         self.process_element_core(core, src, e, &mut next);
                     }
-                    ExecMode::SoftwareChains => {
+                    System::Gla => {
                         // Software chain order: one schedule-queue
                         // indirection per element before processing it.
                         {
@@ -432,13 +380,13 @@ impl<'a> Driver<'a> {
                         }
                         self.process_element_core(core, src, e, &mut next);
                     }
-                    ExecMode::HardwareChains { prefetch: false } => {
+                    System::HcgOnly => {
                         // The core consumes elements from the chain FIFO.
                         let emitted = sched.emit_time.get(p).copied().unwrap_or(0);
                         self.cores[core].sync_to(emitted);
                         self.process_element_core(core, src, e, &mut next);
                     }
-                    ExecMode::HardwareChains { prefetch: true } | ExecMode::HatsTraversal => {
+                    System::ChGraph | System::HatsV => {
                         // HATS, like ChGraph, is a decoupled engine: the
                         // traversal scheduler delivers data to the core; its
                         // handicap is the redundant two-hop generation.
@@ -492,16 +440,13 @@ impl<'a> Driver<'a> {
     /// Core-side processing of one element: read offsets, stream the
     /// incidence list, read each destination value, apply, write back.
     ///
-    /// Under chain order (`SoftwareChains` / HCG-only) the element id comes
+    /// Under chain order (software GLA / HCG-only) the element id comes
     /// from an indirection, so the leading offset fetch is serially
     /// dependent — the OOO core cannot overlap it the way it overlaps an
     /// index-ordered stream.
     fn process_element_core(&mut self, core: usize, src: Side, e: u32, next: &mut Frontier) {
         let pr = phase_regions(src);
-        let indirect = matches!(
-            self.mode,
-            ExecMode::SoftwareChains | ExecMode::HardwareChains { prefetch: false }
-        );
+        let indirect = matches!(self.system, System::Gla | System::HcgOnly);
         let (lo, hi) = self.g.csr_for(src).target_range(e as usize);
         let m = &mut self.machine;
         let t = &mut self.cores[core];
@@ -657,8 +602,8 @@ impl<'a> Driver<'a> {
             Side::Vertex => 0,
             Side::Hyperedge => 1,
         };
-        let reusable = self.algo.all_active()
-            && !matches!(self.mode, ExecMode::IndexOrdered | ExecMode::IndexOrderedPrefetch);
+        let chain_mode = !matches!(self.system, System::Hygra | System::Prefetcher);
+        let reusable = self.algo.all_active() && chain_mode;
         if reusable {
             if let Some(cached) = self.schedule_cache[side_idx].clone() {
                 return Ok(self.replay_cached(cached));
@@ -667,30 +612,25 @@ impl<'a> Driver<'a> {
         // Sparse-phase fallback: when too few elements are active, overlap
         // partners are almost surely inactive and chains degenerate to
         // singletons; schedule in index order and skip the OAG walk.
-        let chain_mode =
-            !matches!(self.mode, ExecMode::IndexOrdered | ExecMode::IndexOrderedPrefetch);
         let sparse = self.cfg.sparse_chain_divisor > 0
             && frontier.len() * self.cfg.sparse_chain_divisor < self.g.num_on(src)
             && chain_mode;
         // Static fallback: a side whose OAG is degenerate (fewer than one
         // edge per element on average) cannot form chains worth their walk;
         // the configuration step can detect this from the OAG header alone.
-        let degenerate = chain_mode
-            && matches!(self.mode, ExecMode::SoftwareChains | ExecMode::HardwareChains { .. })
+        let degenerate = self.system.needs_oags()
             && self.oag_for(src).is_some_and(|oag| oag.num_edge_entries() < oag.len());
         let sparse = sparse || degenerate;
         let schedules: Vec<CoreSchedule> = if sparse {
             self.index_schedules(src, frontier)
         } else {
-            match self.mode {
-                ExecMode::IndexOrdered | ExecMode::IndexOrderedPrefetch => {
-                    self.index_schedules(src, frontier)
-                }
-                ExecMode::SoftwareChains => self.software_chain_schedules(src, frontier, phase)?,
-                ExecMode::HardwareChains { .. } => {
+            match self.system {
+                System::Hygra | System::Prefetcher => self.index_schedules(src, frontier),
+                System::Gla => self.software_chain_schedules(src, frontier, phase)?,
+                System::ChGraph | System::HcgOnly => {
                     self.hardware_chain_schedules(src, frontier, phase)?
                 }
-                ExecMode::HatsTraversal => self.hats_schedules(src, frontier),
+                System::HatsV => self.hats_schedules(src, frontier),
             }
         };
         if reusable {
@@ -703,7 +643,7 @@ impl<'a> Driver<'a> {
     /// streamed back from the in-memory chain queue (paper §VI-B: chains are
     /// generated only in the first iteration for PageRank-like workloads).
     fn replay_cached(&mut self, mut cached: Vec<CoreSchedule>) -> Vec<CoreSchedule> {
-        let software = self.mode == ExecMode::SoftwareChains;
+        let software = self.system == System::Gla;
         for (core, sched) in cached.iter_mut().enumerate() {
             sched.chains = 0; // chains are not regenerated
             for (i, done) in sched.emit_time.iter_mut().enumerate() {
@@ -1117,10 +1057,9 @@ mod tests {
         s
     }
 
-    fn run_mode(g: &Hypergraph, mode: ExecMode) -> DriverOutput {
+    fn run_mode(g: &Hypergraph, system: System) -> DriverOutput {
         let cfg = RunConfig::new().with_system(tiny_system());
-        let needs_oag = matches!(mode, ExecMode::SoftwareChains | ExecMode::HardwareChains { .. });
-        let (ho, vo) = if needs_oag {
+        let (ho, vo) = if system.needs_oags() {
             (
                 Some(OagConfig::new().with_w_min(1).build(g, Side::Hyperedge)),
                 Some(OagConfig::new().with_w_min(1).build(g, Side::Vertex)),
@@ -1129,30 +1068,27 @@ mod tests {
             (None, None)
         };
         let algo = MinLabel;
-        Driver::new(g, &algo, &cfg, mode, ho.as_ref(), vo.as_ref()).run()
+        Driver::try_new(g, &algo, &cfg, system, ho.as_ref(), vo.as_ref())
+            .unwrap()
+            .try_run()
+            .unwrap()
     }
 
     #[test]
     fn all_modes_reach_identical_fixpoints() {
         let g = small_graph();
-        let base = run_mode(&g, ExecMode::IndexOrdered);
-        for mode in [
-            ExecMode::IndexOrderedPrefetch,
-            ExecMode::SoftwareChains,
-            ExecMode::HardwareChains { prefetch: false },
-            ExecMode::HardwareChains { prefetch: true },
-            ExecMode::HatsTraversal,
-        ] {
-            let out = run_mode(&g, mode);
-            assert_eq!(out.state.vertex_value, base.state.vertex_value, "{mode:?}");
-            assert_eq!(out.state.hyperedge_value, base.state.hyperedge_value, "{mode:?}");
+        let base = run_mode(&g, System::Hygra);
+        for system in System::ALL {
+            let out = run_mode(&g, system);
+            assert_eq!(out.state.vertex_value, base.state.vertex_value, "{system:?}");
+            assert_eq!(out.state.hyperedge_value, base.state.hyperedge_value, "{system:?}");
         }
     }
 
     #[test]
     fn min_label_converges_to_component_minima() {
         let g = hypergraph::fig1_example();
-        let out = run_mode(&g, ExecMode::IndexOrdered);
+        let out = run_mode(&g, System::Hygra);
         // Fig. 1: component {h0,h2} x {v0,v2,v4,v6} overlaps h1 via v2, and
         // h1/h3 connect v1,v3,v5 — the whole hypergraph is one component
         // with minimum vertex id 0.
@@ -1164,7 +1100,7 @@ mod tests {
     #[test]
     fn cycles_and_memory_are_nonzero() {
         let g = small_graph();
-        let out = run_mode(&g, ExecMode::IndexOrdered);
+        let out = run_mode(&g, System::Hygra);
         assert!(out.cycles > 0);
         assert!(out.mem.main_memory_accesses() > 0);
         assert!(out.core_busy_cycles > 0);
@@ -1173,7 +1109,7 @@ mod tests {
     #[test]
     fn chgraph_uses_engine_and_delivers_tuples() {
         let g = small_graph();
-        let out = run_mode(&g, ExecMode::HardwareChains { prefetch: true });
+        let out = run_mode(&g, System::ChGraph);
         assert!(out.engine.tuples_delivered > 0);
         assert!(out.engine.chains_generated > 0);
         assert!(out.engine.hcg_cycles > 0);
@@ -1182,8 +1118,8 @@ mod tests {
     #[test]
     fn hardware_chains_beat_software_chains_on_cycles() {
         let g = small_graph();
-        let sw = run_mode(&g, ExecMode::SoftwareChains);
-        let hw = run_mode(&g, ExecMode::HardwareChains { prefetch: true });
+        let sw = run_mode(&g, System::Gla);
+        let hw = run_mode(&g, System::ChGraph);
         assert!(
             hw.cycles < sw.cycles,
             "hardware ({}) must be faster than software GLA ({})",

@@ -97,9 +97,9 @@ pub struct ExecProgress {
     pub frontier_len: usize,
 }
 
-/// Typed execution failure. Produced by the fallible execution paths
-/// ([`Runtime::try_execute`](crate::Runtime::try_execute)); the infallible
-/// paths panic with this error's [`Display`](fmt::Display) message.
+/// Typed execution failure, returned by [`System::run`](crate::System::run);
+/// the [`System::execute`](crate::System::execute) test helper panics with
+/// this error's [`Display`](fmt::Display) message.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ExecError {
     /// A watchdog budget was exhausted. `progress` carries the partial

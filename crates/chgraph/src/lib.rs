@@ -8,17 +8,17 @@
 //!
 //! - the [`Algorithm`] programming model (`HF`/`VF` update functions of
 //!   Algorithm 1);
-//! - the chain-driven **Generate-Load-Apply** execution model (§IV) in two
-//!   forms: a pure-software runtime ([`GlaRuntime`]) whose chain-generation
-//!   overhead makes it *slower* than Hygra despite fewer memory accesses
-//!   (Figs. 2–3), and the hardware-accelerated [`ChGraphRuntime`] whose
+//! - the simulated [`System`]s, each run by [`System::run`]: the
+//!   chain-driven **Generate-Load-Apply** execution model (§IV) in two
+//!   forms, pure software ([`System::Gla`]), whose chain-generation overhead
+//!   makes it *slower* than Hygra despite fewer memory accesses
+//!   (Figs. 2–3), and hardware-accelerated ([`System::ChGraph`]), whose
 //!   per-core engine (the 4-stage hardware chain generator plus the 4-stage
 //!   chain-driven prefetcher of §V, connected by FIFOs) reverses the
-//!   situation;
-//! - the [`HygraRuntime`] baseline (index-ordered scheduling);
-//! - the comparison baselines of §II-C and §VI-H: [`HatsVRuntime`],
-//!   [`PrefetcherRuntime`], and the reordering transformation in
-//!   [`baseline::reorder`];
+//!   situation; the HCG-only ablation; the [`System::Hygra`] baseline
+//!   (index-ordered scheduling); and the comparison baselines of §II-C and
+//!   §VI-H, [`System::HatsV`] and [`System::Prefetcher`];
+//! - the reordering transformation in [`baseline::reorder`];
 //! - the engine cost model ([`engine`]) reproducing the §VI-E area/power
 //!   accounting;
 //! - [`ExecutionReport`] with the paper's metrics: cycles, off-chip
@@ -28,14 +28,15 @@
 //! # Example
 //!
 //! ```
-//! use chgraph::{ChGraphRuntime, HygraRuntime, MinLabel, RunConfig, Runtime};
+//! use chgraph::{MinLabel, RunConfig, System};
 //!
 //! let g = hypergraph::datasets::Dataset::LiveJournal.config()
 //!     .with_seed(1).generate();
 //! let cfg = RunConfig::new().with_max_iterations(2);
-//! let hygra = HygraRuntime.execute(&g, &MinLabel, &cfg);
-//! let chg = ChGraphRuntime::new().execute(&g, &MinLabel, &cfg);
+//! let hygra = System::Hygra.run(&g, &MinLabel, &cfg, None)?;
+//! let chg = System::ChGraph.run(&g, &MinLabel, &cfg, None)?;
 //! assert_eq!(hygra.state.vertex_value, chg.state.vertex_value);
+//! # Ok::<(), chgraph::ExecError>(())
 //! ```
 
 mod algorithm;
@@ -52,8 +53,7 @@ mod runtimes;
 mod testutil;
 
 pub use algorithm::{Algorithm, MinLabel, State, UpdateOutcome};
-pub use baseline::{HatsVRuntime, PrefetcherRuntime};
 pub use guard::{Budget, ExecError, ExecProgress, Watchdog, WatchdogConfig};
 pub use report::{EngineReport, ExecutionReport, PreprocessReport};
-pub use runtime::{RunConfig, Runtime};
-pub use runtimes::{ChGraphRuntime, GlaRuntime, HygraRuntime, PreparedOags};
+pub use runtime::{ChGraphRuntime, GlaRuntime, HygraRuntime, RunConfig, Runtime, System};
+pub use runtimes::PreparedOags;

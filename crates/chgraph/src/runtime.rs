@@ -1,9 +1,7 @@
-//! The runtime abstraction and its configuration.
+//! The simulated systems and their shared configuration.
 
-use crate::guard::{ExecError, WatchdogConfig};
-use crate::{Algorithm, ExecutionReport};
+use crate::guard::WatchdogConfig;
 use archsim::SystemConfig;
-use hypergraph::Hypergraph;
 use oag::{ChainConfig, OagConfig};
 
 /// Configuration shared by every runtime execution.
@@ -130,53 +128,146 @@ impl Default for RunConfig {
     }
 }
 
-/// A hypergraph-processing system simulated on the machine: Hygra, software
-/// GLA, ChGraph, or one of the comparison baselines.
-pub trait Runtime {
-    /// Short name used in reports and figures.
-    fn name(&self) -> &'static str;
+/// A hypergraph-processing system simulated on the machine. All six run
+/// the same driver on the same simulated testbed and differ only in how the
+/// schedule of active elements is produced and which component (core or
+/// engine) issues each load, so every comparison holds everything else
+/// equal. [`System::run`] executes one.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum System {
+    /// Hygra: index-ordered scheduling on general-purpose cores (paper
+    /// Algorithm 1; Shun, PPoPP'20). No OAG, no engine.
+    Hygra,
+    /// Pure-software GLA: the cores generate chains themselves
+    /// (Algorithm 3 in software). Reduces main-memory accesses like
+    /// ChGraph, but the generation overhead makes it *slower* than Hygra on
+    /// most workloads (Figs. 2–3, 14) — the observation motivating the
+    /// hardware engine.
+    Gla,
+    /// ChGraph: the per-core engine generates chains (HCG) and prefetches
+    /// bipartite-edge tuples (CP) that the core consumes through the FIFO
+    /// (§V).
+    ChGraph,
+    /// The HCG-only ablation of Fig. 16: hardware chain generation, but the
+    /// core performs its own data loading.
+    HcgOnly,
+    /// HATS-V: the HATS hardware traversal scheduler (Mukkara et al.,
+    /// MICRO'18) modified for hypergraphs (§II-C). It schedules by bounded
+    /// DFS over the **bipartite structure** rather than an OAG: discovering
+    /// each same-side neighbor traverses *two* bipartite edges, and the
+    /// successor is the first overlapping element found, not the
+    /// maximally-overlapping one. Both make it inferior to ChGraph (Fig. 7).
+    HatsV,
+    /// The event-driven programmable prefetcher (Ainsworth & Jones,
+    /// ASPLOS'18 style, §VI-H): Hygra's index order, with a hardware
+    /// prefetcher running [`RunConfig::prefetcher_distance`] elements ahead
+    /// of the core and fetching offsets, incidence lists and destination
+    /// values into the L2, plus a fraction of useless fetches. It hides
+    /// latency but cannot *reduce* main-memory traffic (Fig. 23).
+    Prefetcher,
+}
 
-    /// Executes `algo` on `g` under this runtime, returning the full report
-    /// (final state, cycles, memory statistics, preprocessing accounting) —
-    /// or a typed [`ExecError`] when a watchdog budget is exhausted, a
-    /// structural validation fails, or the configuration cannot be
-    /// simulated.
-    fn try_execute(
-        &self,
-        g: &Hypergraph,
-        algo: &dyn Algorithm,
-        cfg: &RunConfig,
-    ) -> Result<ExecutionReport, ExecError>;
+impl System {
+    /// Every simulated system, in the evaluation's presentation order.
+    pub const ALL: [System; 6] = [
+        System::Hygra,
+        System::Gla,
+        System::ChGraph,
+        System::HcgOnly,
+        System::HatsV,
+        System::Prefetcher,
+    ];
 
-    /// Like [`try_execute`](Runtime::try_execute), but may reuse pre-built
-    /// OAG artifacts instead of rebuilding them per execution.
-    ///
-    /// The contract is strict: the report must be **bit-identical** to
-    /// `try_execute(g, algo, cfg)`. Implementations must therefore verify
-    /// that `prepared` matches `cfg.oag` (and rebuild if it does not), and
-    /// the default implementation simply ignores `prepared` — correct for
-    /// runtimes that never build OAGs.
-    fn try_execute_prepared(
-        &self,
-        g: &Hypergraph,
-        algo: &dyn Algorithm,
-        cfg: &RunConfig,
-        prepared: Option<&crate::PreparedOags>,
-    ) -> Result<ExecutionReport, ExecError> {
-        let _ = prepared;
-        self.try_execute(g, algo, cfg)
+    /// Short name used in reports, on the wire and in fingerprints.
+    pub fn name(self) -> &'static str {
+        match self {
+            System::Hygra => "hygra",
+            System::Gla => "gla",
+            System::ChGraph => "chgraph",
+            System::HcgOnly => "chgraph-hcg",
+            System::HatsV => "hats-v",
+            System::Prefetcher => "prefetcher",
+        }
     }
 
-    /// Infallible convenience wrapper over
-    /// [`try_execute`](Runtime::try_execute).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ExecError`] message if the execution fails; with a
-    /// default [`RunConfig`] (no budgets, no deep validation) failures only
-    /// arise from untrusted inputs or unsimulatable configurations.
-    fn execute(&self, g: &Hypergraph, algo: &dyn Algorithm, cfg: &RunConfig) -> ExecutionReport {
-        self.try_execute(g, algo, cfg).unwrap_or_else(|e| panic!("{}: {e}", self.name()))
+    /// Display label used in the figures.
+    pub fn label(self) -> &'static str {
+        match self {
+            System::Hygra => "Hygra",
+            System::Gla => "GLA",
+            System::ChGraph => "ChGraph",
+            System::HcgOnly => "HCG-only",
+            System::HatsV => "HATS-V",
+            System::Prefetcher => "Prefetcher",
+        }
+    }
+
+    /// Parses a [`name`](System::name) or one of the short aliases `hcg`
+    /// and `hats`, ignoring ASCII case.
+    pub fn from_name(name: &str) -> Option<System> {
+        let name = name.to_ascii_lowercase();
+        match name.as_str() {
+            "hcg" => Some(System::HcgOnly),
+            "hats" => Some(System::HatsV),
+            _ => System::ALL.into_iter().find(|s| s.name() == name),
+        }
+    }
+
+    /// Whether the system walks OAGs, and so builds them or reuses a
+    /// matching [`PreparedOags`](crate::PreparedOags).
+    pub fn needs_oags(self) -> bool {
+        matches!(self, System::Gla | System::ChGraph | System::HcgOnly)
+    }
+}
+
+/// A handle naming a simulated [`System`]. [`System`] implements it, and so
+/// do three unit structs kept because the `perfbench` crate still builds
+/// them as `Box<dyn Runtime>`.
+pub trait Runtime {
+    /// The simulated system this handle names.
+    fn system(&self) -> System;
+}
+
+impl Runtime for System {
+    fn system(&self) -> System {
+        *self
+    }
+}
+
+/// Names [`System::Hygra`]; kept for `dyn Runtime` callers.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct HygraRuntime;
+
+/// Names [`System::Gla`]; kept for `dyn Runtime` callers.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct GlaRuntime;
+
+/// Names [`System::ChGraph`]; kept for `dyn Runtime` callers.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ChGraphRuntime;
+
+impl ChGraphRuntime {
+    /// The full-ChGraph handle.
+    pub fn new() -> Self {
+        ChGraphRuntime
+    }
+}
+
+impl Runtime for HygraRuntime {
+    fn system(&self) -> System {
+        System::Hygra
+    }
+}
+
+impl Runtime for GlaRuntime {
+    fn system(&self) -> System {
+        System::Gla
+    }
+}
+
+impl Runtime for ChGraphRuntime {
+    fn system(&self) -> System {
+        System::ChGraph
     }
 }
 
@@ -205,5 +296,27 @@ mod tests {
         assert_eq!(c.oag.w_min, 1);
         assert_eq!(c.chain.d_max, 8);
         assert_eq!(c.max_iterations, Some(3));
+    }
+
+    #[test]
+    fn names_round_trip_and_old_aliases_parse() {
+        for s in System::ALL {
+            assert_eq!(System::from_name(s.name()), Some(s), "{s:?}");
+            assert_eq!(System::from_name(&s.name().to_ascii_uppercase()), Some(s), "{s:?}");
+            assert_eq!(s.system(), s);
+        }
+        for (alias, want) in [
+            ("hygra", System::Hygra),
+            ("gla", System::Gla),
+            ("chgraph", System::ChGraph),
+            ("hcg", System::HcgOnly),
+            ("hats", System::HatsV),
+            ("hats-v", System::HatsV),
+            ("prefetcher", System::Prefetcher),
+        ] {
+            assert_eq!(System::from_name(alias), Some(want), "{alias}");
+        }
+        assert_eq!(System::from_name("ligra"), None);
+        assert_eq!(System::from_name(""), None);
     }
 }

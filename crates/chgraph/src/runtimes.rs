@@ -1,8 +1,8 @@
-//! The three principal runtimes: Hygra, software GLA, and ChGraph.
+//! Running a simulated [`System`], with OAG artifacts shared across runs.
 
-use crate::exec::{Driver, ExecMode};
+use crate::exec::Driver;
 use crate::guard::ExecError;
-use crate::{preprocess, Algorithm, ExecutionReport, RunConfig, Runtime};
+use crate::{preprocess, Algorithm, ExecutionReport, RunConfig, System};
 use hypergraph::{Hypergraph, Side};
 use oag::{Oag, OagBuildStats, OagConfig};
 
@@ -11,8 +11,8 @@ use oag::{Oag, OagBuildStats, OagConfig};
 /// (every `(workload, system)` cell of one dataset column reuses them).
 ///
 /// A `PreparedOags` is only valid for the [`OagConfig`] it was built with;
-/// [`Runtime::try_execute_prepared`] checks `cfg` equality and falls back to a
-/// fresh build on mismatch, so reuse can never change a report.
+/// [`System::run`] checks `cfg` equality and falls back to a fresh build on
+/// mismatch, so reuse can never change a report.
 #[derive(Clone, Debug)]
 pub struct PreparedOags {
     /// The configuration the OAGs were built with.
@@ -58,175 +58,63 @@ impl PreparedOags {
     }
 }
 
-/// Builds both OAGs and merged preprocessing statistics for a chain-driven
-/// runtime.
-fn build_oags(g: &Hypergraph, cfg: &RunConfig) -> (Oag, Oag, crate::PreprocessReport) {
-    let p = PreparedOags::build(g, cfg);
-    (p.hyperedge, p.vertex, p.report)
-}
-
-fn assemble(
-    runtime: &'static str,
-    algo_name: &'static str,
-    out: crate::exec::DriverOutput,
-    preprocess: crate::PreprocessReport,
-    engine_used: bool,
-) -> ExecutionReport {
-    ExecutionReport {
-        runtime,
-        algorithm: algo_name,
-        iterations: out.iterations,
-        cycles: out.cycles,
-        core_busy_cycles: out.core_busy_cycles,
-        mem_stall_cycles: out.mem_stall_cycles,
-        mem: out.mem,
-        state: out.state,
-        engine: engine_used.then_some(out.engine),
-        preprocess,
-    }
-}
-
-/// The Hygra baseline: index-ordered scheduling on general-purpose cores
-/// (paper Algorithm 1; Shun, PPoPP'20). No OAG, no engine.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HygraRuntime;
-
-impl Runtime for HygraRuntime {
-    fn name(&self) -> &'static str {
-        "hygra"
-    }
-
-    fn try_execute(
-        &self,
-        g: &Hypergraph,
-        algo: &dyn Algorithm,
-        cfg: &RunConfig,
-    ) -> Result<ExecutionReport, ExecError> {
-        let out = Driver::try_new(g, algo, cfg, ExecMode::IndexOrdered, None, None)?.try_run()?;
-        Ok(assemble(self.name(), algo.name(), out, preprocess::report_plain(g), false))
-    }
-}
-
-/// The pure-software GLA runtime: chains are generated by the cores
-/// themselves (Algorithm 3 in software). Reduces main-memory accesses like
-/// ChGraph, but the runtime generation overhead makes it *slower* than
-/// Hygra on most workloads (Figs. 2–3, 14) — the observation motivating the
-/// hardware engine.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GlaRuntime;
-
-impl Runtime for GlaRuntime {
-    fn name(&self) -> &'static str {
-        "gla"
-    }
-
-    fn try_execute(
-        &self,
-        g: &Hypergraph,
-        algo: &dyn Algorithm,
-        cfg: &RunConfig,
-    ) -> Result<ExecutionReport, ExecError> {
-        let (h_oag, v_oag, pre) = build_oags(g, cfg);
-        let out =
-            Driver::try_new(g, algo, cfg, ExecMode::SoftwareChains, Some(&h_oag), Some(&v_oag))?
-                .try_run()?;
-        Ok(assemble(self.name(), algo.name(), out, pre, false))
-    }
-
-    fn try_execute_prepared(
-        &self,
+impl System {
+    /// Executes `algo` on `g` under this system, returning the full report
+    /// (final state, cycles, memory statistics, preprocessing accounting),
+    /// or a typed [`ExecError`] when a watchdog budget is exhausted, a
+    /// structural validation fails, or the configuration cannot be
+    /// simulated.
+    ///
+    /// A system that [needs OAGs](System::needs_oags) reuses `prepared`
+    /// when it [matches](PreparedOags::matches) `cfg` and builds both OAGs
+    /// otherwise; the other systems ignore it. The report is bit-identical
+    /// either way.
+    pub fn run(
+        self,
         g: &Hypergraph,
         algo: &dyn Algorithm,
         cfg: &RunConfig,
         prepared: Option<&PreparedOags>,
     ) -> Result<ExecutionReport, ExecError> {
-        match prepared {
-            Some(p) if p.matches(cfg) => {
-                let out = Driver::try_new(
-                    g,
-                    algo,
-                    cfg,
-                    ExecMode::SoftwareChains,
-                    Some(&p.hyperedge),
-                    Some(&p.vertex),
-                )?
-                .try_run()?;
-                Ok(assemble(self.name(), algo.name(), out, p.report, false))
-            }
-            _ => self.try_execute(g, algo, cfg),
-        }
-    }
-}
-
-/// The ChGraph runtime: the per-core hardware engine generates chains (HCG)
-/// and, unless configured as the HCG-only ablation, prefetches bipartite
-/// edge tuples (CP) that the core consumes through the FIFO (§V).
-#[derive(Clone, Copy, Debug)]
-pub struct ChGraphRuntime {
-    prefetch: bool,
-}
-
-impl ChGraphRuntime {
-    /// Full ChGraph: HCG + CP.
-    pub fn new() -> Self {
-        ChGraphRuntime { prefetch: true }
-    }
-
-    /// The HCG-only ablation of Fig. 16: hardware chain generation, but the
-    /// core performs its own data loading.
-    pub fn hcg_only() -> Self {
-        ChGraphRuntime { prefetch: false }
-    }
-
-    /// Whether the chain-driven prefetcher is enabled.
-    pub fn has_prefetcher(&self) -> bool {
-        self.prefetch
-    }
-}
-
-impl Default for ChGraphRuntime {
-    fn default() -> Self {
-        ChGraphRuntime::new()
-    }
-}
-
-impl Runtime for ChGraphRuntime {
-    fn name(&self) -> &'static str {
-        if self.prefetch {
-            "chgraph"
+        let fresh;
+        let (oags, preprocess) = if self.needs_oags() {
+            let p = match prepared {
+                Some(p) if p.matches(cfg) => p,
+                _ => {
+                    fresh = PreparedOags::build(g, cfg);
+                    &fresh
+                }
+            };
+            (Some((&p.hyperedge, &p.vertex)), p.report)
         } else {
-            "chgraph-hcg"
-        }
+            (None, preprocess::report_plain(g))
+        };
+        let (h_oag, v_oag) = oags.unzip();
+        let out = Driver::try_new(g, algo, cfg, self, h_oag, v_oag)?.try_run()?;
+        Ok(ExecutionReport {
+            runtime: self.name(),
+            algorithm: algo.name(),
+            iterations: out.iterations,
+            cycles: out.cycles,
+            core_busy_cycles: out.core_busy_cycles,
+            mem_stall_cycles: out.mem_stall_cycles,
+            mem: out.mem,
+            state: out.state,
+            engine: (!matches!(self, System::Hygra | System::Gla)).then_some(out.engine),
+            preprocess,
+        })
     }
 
-    fn try_execute(
-        &self,
-        g: &Hypergraph,
-        algo: &dyn Algorithm,
-        cfg: &RunConfig,
-    ) -> Result<ExecutionReport, ExecError> {
-        let (h_oag, v_oag, pre) = build_oags(g, cfg);
-        let mode = ExecMode::HardwareChains { prefetch: self.prefetch };
-        let out = Driver::try_new(g, algo, cfg, mode, Some(&h_oag), Some(&v_oag))?.try_run()?;
-        Ok(assemble(self.name(), algo.name(), out, pre, true))
-    }
-
-    fn try_execute_prepared(
-        &self,
-        g: &Hypergraph,
-        algo: &dyn Algorithm,
-        cfg: &RunConfig,
-        prepared: Option<&PreparedOags>,
-    ) -> Result<ExecutionReport, ExecError> {
-        match prepared {
-            Some(p) if p.matches(cfg) => {
-                let mode = ExecMode::HardwareChains { prefetch: self.prefetch };
-                let out = Driver::try_new(g, algo, cfg, mode, Some(&p.hyperedge), Some(&p.vertex))?
-                    .try_run()?;
-                Ok(assemble(self.name(), algo.name(), out, p.report, true))
-            }
-            _ => self.try_execute(g, algo, cfg),
-        }
+    /// Test and example helper: [`run`](System::run) without prepared
+    /// OAGs.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ExecError`] message if the execution fails; with a
+    /// default [`RunConfig`] (no budgets, no deep validation) failures only
+    /// arise from untrusted inputs or unsimulatable configurations.
+    pub fn execute(self, g: &Hypergraph, algo: &dyn Algorithm, cfg: &RunConfig) -> ExecutionReport {
+        self.run(g, algo, cfg, None).unwrap_or_else(|e| panic!("{}: {e}", self.name()))
     }
 }
 
@@ -257,9 +145,9 @@ mod tests {
     fn three_runtimes_agree_on_results() {
         let g = graph();
         let cfg = cfg();
-        let h = HygraRuntime.execute(&g, &MinLabel, &cfg);
-        let s = GlaRuntime.execute(&g, &MinLabel, &cfg);
-        let c = ChGraphRuntime::new().execute(&g, &MinLabel, &cfg);
+        let h = System::Hygra.execute(&g, &MinLabel, &cfg);
+        let s = System::Gla.execute(&g, &MinLabel, &cfg);
+        let c = System::ChGraph.execute(&g, &MinLabel, &cfg);
         assert_eq!(h.state.vertex_value, s.state.vertex_value);
         assert_eq!(h.state.vertex_value, c.state.vertex_value);
         assert_eq!(h.iterations, c.iterations);
@@ -274,11 +162,11 @@ mod tests {
         let g = graph();
         let cfg = cfg();
         let pr = crate::testutil::PrLike { iterations: 3 };
-        let h = HygraRuntime.execute(&g, &pr, &cfg);
+        let h = System::Hygra.execute(&g, &pr, &cfg);
         let values = |r: &crate::ExecutionReport| {
             r.mem.main_memory_accesses_of_group(archsim::RegionGroup::Values) as f64
         };
-        for r in [GlaRuntime.execute(&g, &pr, &cfg), ChGraphRuntime::new().execute(&g, &pr, &cfg)] {
+        for r in [System::Gla.execute(&g, &pr, &cfg), System::ChGraph.execute(&g, &pr, &cfg)] {
             let red = values(&h) / values(&r).max(1.0);
             assert!(red > 1.1, "{}: value-array reduction only {red:.2}x", r.runtime);
             assert!(
@@ -294,9 +182,9 @@ mod tests {
         let g = graph();
         let cfg = cfg();
         let pr = crate::testutil::PrLike { iterations: 3 };
-        let h = HygraRuntime.execute(&g, &pr, &cfg);
-        let s = GlaRuntime.execute(&g, &pr, &cfg);
-        let c = ChGraphRuntime::new().execute(&g, &pr, &cfg);
+        let h = System::Hygra.execute(&g, &pr, &cfg);
+        let s = System::Gla.execute(&g, &pr, &cfg);
+        let c = System::ChGraph.execute(&g, &pr, &cfg);
         assert!(c.speedup_over(&h) > 1.0, "ChGraph {:.2}x vs Hygra", c.speedup_over(&h));
         assert!(s.speedup_over(&h) < 1.2, "software GLA should not beat Hygra clearly");
         assert!(c.cycles < s.cycles);
@@ -306,9 +194,9 @@ mod tests {
     fn hcg_only_sits_between_gla_and_full_chgraph() {
         let g = graph();
         let cfg = cfg();
-        let s = GlaRuntime.execute(&g, &MinLabel, &cfg);
-        let hcg = ChGraphRuntime::hcg_only().execute(&g, &MinLabel, &cfg);
-        let full = ChGraphRuntime::new().execute(&g, &MinLabel, &cfg);
+        let s = System::Gla.execute(&g, &MinLabel, &cfg);
+        let hcg = System::HcgOnly.execute(&g, &MinLabel, &cfg);
+        let full = System::ChGraph.execute(&g, &MinLabel, &cfg);
         assert!(hcg.cycles < s.cycles, "HCG must beat software GLA");
         assert!(full.cycles <= hcg.cycles, "CP must not slow ChGraph down");
         assert_eq!(hcg.state.vertex_value, full.state.vertex_value);
@@ -318,8 +206,8 @@ mod tests {
     fn preprocessing_reported() {
         let g = graph();
         let cfg = cfg();
-        let h = HygraRuntime.execute(&g, &MinLabel, &cfg);
-        let c = ChGraphRuntime::new().execute(&g, &MinLabel, &cfg);
+        let h = System::Hygra.execute(&g, &MinLabel, &cfg);
+        let c = System::ChGraph.execute(&g, &MinLabel, &cfg);
         assert!(h.preprocess.oag_build.is_none());
         assert!(c.preprocess.oag_build.is_some());
         assert!(c.preprocess.cycles_estimate > h.preprocess.cycles_estimate);

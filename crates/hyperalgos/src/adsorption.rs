@@ -101,7 +101,7 @@ impl Algorithm for Adsorption {
 mod tests {
     use super::*;
     use crate::reference;
-    use chgraph::{HygraRuntime, RunConfig, Runtime};
+    use chgraph::{RunConfig, System};
     use hypergraph::generate::two_uniform_graph;
 
     fn close(a: &[f64], b: &[f64]) -> bool {
@@ -112,7 +112,7 @@ mod tests {
     fn matches_reference() {
         let g = two_uniform_graph(120, 400, 9);
         let algo = Adsorption { iterations: 4, ..Adsorption::new() };
-        let r = HygraRuntime.execute(&g, &algo, &RunConfig::new());
+        let r = System::Hygra.execute(&g, &algo, &RunConfig::new());
         let want = reference::adsorption(&g, 0.25, 0.75, 32, 4);
         assert!(close(&r.state.vertex_value, &want));
     }
@@ -120,7 +120,7 @@ mod tests {
     #[test]
     fn seeds_spread_influence() {
         let g = two_uniform_graph(100, 500, 2);
-        let r = HygraRuntime.execute(&g, &Adsorption::new(), &RunConfig::new());
+        let r = System::Hygra.execute(&g, &Adsorption::new(), &RunConfig::new());
         let touched = r.state.vertex_value.iter().filter(|&&x| x > 0.0).count();
         assert!(touched > 50, "labels must propagate beyond the seeds ({touched})");
     }
@@ -131,7 +131,7 @@ mod tests {
         let mut algo = Adsorption::new();
         algo.injection = 0.0;
         algo.iterations = 3;
-        let r = HygraRuntime.execute(&g, &algo, &RunConfig::new());
+        let r = System::Hygra.execute(&g, &algo, &RunConfig::new());
         // With no injection and zeroed accumulators, only the initial-state
         // propagation survives — still finite and nonnegative.
         assert!(r.state.vertex_value.iter().all(|x| x.is_finite() && *x >= 0.0));

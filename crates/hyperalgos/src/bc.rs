@@ -11,9 +11,9 @@
 //!
 //! The computation is two chained executions — [`BcForward`] (BFS with
 //! shortest-path counting) and [`BcBackward`] (level-synchronous dependency
-//! accumulation) — composed by [`run_bc`].
+//! accumulation) — composed by [`try_run_bc_prepared`].
 
-use chgraph::{Algorithm, ExecError, ExecutionReport, RunConfig, Runtime, State, UpdateOutcome};
+use chgraph::{Algorithm, ExecError, ExecutionReport, RunConfig, State, System, UpdateOutcome};
 use hypergraph::{Frontier, Hypergraph, VertexId};
 use std::cell::Cell;
 
@@ -208,38 +208,22 @@ impl Algorithm for BcBackward {
     }
 }
 
-/// Runs single-source betweenness centrality under `runtime`: the forward
+/// Runs single-source betweenness centrality under `system`: the forward
 /// pass, then the backward pass, returning a merged report whose state holds
 /// the dependencies (δ in the value arrays, forward σ untouched in the
-/// backward state's aux — empty).
-///
-/// # Panics
-///
-/// Panics with the [`ExecError`] message if either pass fails; use
-/// [`try_run_bc_prepared`] to keep failures typed.
-pub fn run_bc(
-    runtime: &dyn Runtime,
-    g: &Hypergraph,
-    cfg: &RunConfig,
-    source: VertexId,
-) -> ExecutionReport {
-    try_run_bc_prepared(runtime, g, cfg, source, None)
-        .unwrap_or_else(|e| panic!("{}: {e}", runtime.name()))
-}
-
-/// Fallible [`run_bc`] with optional pre-built OAG artifacts shared by both
-/// passes: watchdog budgets and validation failures in either pass surface
-/// as a typed [`ExecError`] instead of a panic.
+/// backward state's aux — empty). Optional pre-built OAG artifacts are
+/// shared by both passes; watchdog budgets and validation failures in
+/// either pass surface as a typed [`ExecError`].
 pub fn try_run_bc_prepared(
-    runtime: &dyn Runtime,
+    system: System,
     g: &Hypergraph,
     cfg: &RunConfig,
     source: VertexId,
     prepared: Option<&chgraph::PreparedOags>,
 ) -> Result<ExecutionReport, ExecError> {
-    let forward = runtime.try_execute_prepared(g, &BcForward { source }, cfg, prepared)?;
+    let forward = system.run(g, &BcForward { source }, cfg, prepared)?;
     let backward_algo = BcBackward::from_forward(&forward.state);
-    let mut backward = runtime.try_execute_prepared(g, &backward_algo, cfg, prepared)?;
+    let mut backward = system.run(g, &backward_algo, cfg, prepared)?;
     backward.algorithm = "bc";
     backward.cycles += forward.cycles;
     backward.core_busy_cycles += forward.core_busy_cycles;
@@ -261,7 +245,16 @@ pub fn try_run_bc_prepared(
 mod tests {
     use super::*;
     use crate::reference;
-    use chgraph::{ChGraphRuntime, HygraRuntime, RunConfig};
+    use chgraph::RunConfig;
+
+    fn run_bc(
+        system: System,
+        g: &Hypergraph,
+        cfg: &RunConfig,
+        source: VertexId,
+    ) -> ExecutionReport {
+        try_run_bc_prepared(system, g, cfg, source, None).unwrap()
+    }
 
     fn close(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-9)
@@ -271,7 +264,7 @@ mod tests {
     fn forward_counts_paths_on_fig1() {
         let g = hypergraph::fig1_example();
         let r =
-            HygraRuntime.execute(&g, &BcForward { source: VertexId::new(0) }, &RunConfig::new());
+            System::Hygra.execute(&g, &BcForward { source: VertexId::new(0) }, &RunConfig::new());
         // v0 -> {h0, h2}; v4 is in both: two shortest paths.
         assert_eq!(r.state.vertex_aux[4], 2.0);
         assert_eq!(r.state.vertex_aux[6], 1.0); // only via h0
@@ -282,7 +275,7 @@ mod tests {
     fn bc_matches_reference_brandes() {
         for seed in [1u64, 8, 21] {
             let g = hypergraph::generate::GeneratorConfig::new(150, 90).with_seed(seed).generate();
-            let r = run_bc(&HygraRuntime, &g, &RunConfig::new(), VertexId::new(0));
+            let r = run_bc(System::Hygra, &g, &RunConfig::new(), VertexId::new(0));
             let (vd, hd) = reference::bc_single_source(&g, VertexId::new(0));
             assert!(close(&r.state.vertex_value, &vd), "vertex deltas diverge (seed {seed})");
             assert!(close(&r.state.hyperedge_value, &hd), "hyperedge deltas diverge (seed {seed})");
@@ -293,8 +286,8 @@ mod tests {
     fn runtimes_agree_on_bc() {
         let g = hypergraph::generate::GeneratorConfig::new(200, 120).with_seed(3).generate();
         let cfg = RunConfig::new();
-        let a = run_bc(&HygraRuntime, &g, &cfg, VertexId::new(0));
-        let b = run_bc(&ChGraphRuntime::new(), &g, &cfg, VertexId::new(0));
+        let a = run_bc(System::Hygra, &g, &cfg, VertexId::new(0));
+        let b = run_bc(System::ChGraph, &g, &cfg, VertexId::new(0));
         assert!(close(&a.state.vertex_value, &b.state.vertex_value));
         assert_eq!(a.algorithm, "bc");
         assert!(b.engine.is_some());
@@ -307,7 +300,7 @@ mod tests {
         b.add_hyperedge([0, 1].map(VertexId::new)).unwrap();
         b.add_hyperedge([2, 3, 4].map(VertexId::new)).unwrap();
         let g = b.build();
-        let r = run_bc(&HygraRuntime, &g, &RunConfig::new(), VertexId::new(0));
+        let r = run_bc(System::Hygra, &g, &RunConfig::new(), VertexId::new(0));
         assert_eq!(r.state.vertex_value[2], 0.0);
         assert_eq!(r.state.hyperedge_value[1], 0.0);
     }

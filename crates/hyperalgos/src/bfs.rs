@@ -72,12 +72,12 @@ impl Algorithm for Bfs {
 mod tests {
     use super::*;
     use crate::reference;
-    use chgraph::{HygraRuntime, RunConfig, Runtime};
+    use chgraph::{RunConfig, System};
 
     #[test]
     fn fig1_distances() {
         let g = hypergraph::fig1_example();
-        let r = HygraRuntime.execute(&g, &Bfs::default(), &RunConfig::new());
+        let r = System::Hygra.execute(&g, &Bfs::default(), &RunConfig::new());
         // v0 -> h0/h2 (1) -> v2,v4,v6 (2) -> h1 (3) -> v1,v3,v5 (4).
         assert_eq!(r.state.vertex_value, vec![0.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0]);
         assert_eq!(r.state.hyperedge_value, vec![1.0, 3.0, 1.0, 5.0]);
@@ -87,7 +87,7 @@ mod tests {
     fn matches_reference_on_random_inputs() {
         for seed in [1u64, 7, 42] {
             let g = hypergraph::generate::GeneratorConfig::new(400, 300).with_seed(seed).generate();
-            let r = HygraRuntime.execute(&g, &Bfs::default(), &RunConfig::new());
+            let r = System::Hygra.execute(&g, &Bfs::default(), &RunConfig::new());
             let (vd, hd) = reference::bfs(&g, VertexId::new(0));
             assert_eq!(r.state.vertex_value, vd, "seed {seed}");
             assert_eq!(r.state.hyperedge_value, hd, "seed {seed}");
@@ -97,7 +97,7 @@ mod tests {
     #[test]
     fn source_choice_matters() {
         let g = hypergraph::fig1_example();
-        let r = HygraRuntime.execute(&g, &Bfs::new(VertexId::new(5)), &RunConfig::new());
+        let r = System::Hygra.execute(&g, &Bfs::new(VertexId::new(5)), &RunConfig::new());
         assert_eq!(r.state.vertex_value[5], 0.0);
         assert_eq!(r.state.vertex_value[1], 2.0); // v5 -> h1 -> v1
         assert_eq!(r.state.vertex_value[0], 4.0); // v5 -> h1 -> v2 -> h2 -> v0

@@ -58,12 +58,12 @@ impl Algorithm for ConnectedComponents {
 mod tests {
     use super::*;
     use crate::reference;
-    use chgraph::{GlaRuntime, HygraRuntime, RunConfig, Runtime};
+    use chgraph::{RunConfig, System};
 
     #[test]
     fn fig1_is_one_component() {
         let g = hypergraph::fig1_example();
-        let r = HygraRuntime.execute(&g, &ConnectedComponents, &RunConfig::new());
+        let r = System::Hygra.execute(&g, &ConnectedComponents, &RunConfig::new());
         assert!(r.state.vertex_value.iter().all(|&l| l == 0.0));
     }
 
@@ -71,7 +71,7 @@ mod tests {
     fn matches_reference_labels() {
         for seed in [3u64, 9] {
             let g = hypergraph::generate::GeneratorConfig::new(300, 120).with_seed(seed).generate();
-            let r = HygraRuntime.execute(&g, &ConnectedComponents, &RunConfig::new());
+            let r = System::Hygra.execute(&g, &ConnectedComponents, &RunConfig::new());
             let want = reference::connected_components(&g);
             assert_eq!(r.state.vertex_value, want, "seed {seed}");
         }
@@ -84,7 +84,7 @@ mod tests {
         b.add_hyperedge([0, 1, 2].map(VertexId::new)).unwrap();
         b.add_hyperedge([3, 4].map(VertexId::new)).unwrap();
         let g = b.build();
-        let r = GlaRuntime.execute(&g, &ConnectedComponents, &RunConfig::new());
+        let r = System::Gla.execute(&g, &ConnectedComponents, &RunConfig::new());
         assert_eq!(r.state.vertex_value[..3], [0.0, 0.0, 0.0]);
         assert_eq!(r.state.vertex_value[3..5], [3.0, 3.0]);
         assert_eq!(r.state.vertex_value[5], 5.0, "isolated vertex keeps its own label");

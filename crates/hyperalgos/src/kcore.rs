@@ -259,20 +259,20 @@ impl Algorithm for CoreDecomposition {
 mod tests {
     use super::*;
     use crate::reference;
-    use chgraph::{ChGraphRuntime, HygraRuntime, RunConfig, Runtime};
+    use chgraph::{RunConfig, System};
 
     #[test]
     fn fig1_two_core_is_empty() {
         // Every vertex of fig1 has degree <= 2; the 3-core is empty.
         let g = hypergraph::fig1_example();
-        let r = HygraRuntime.execute(&g, &KCore::new(3), &RunConfig::new());
+        let r = System::Hygra.execute(&g, &KCore::new(3), &RunConfig::new());
         assert!(KCore::core_members(&r.state).iter().all(|&alive| !alive));
     }
 
     #[test]
     fn fig1_one_core_keeps_everything() {
         let g = hypergraph::fig1_example();
-        let r = HygraRuntime.execute(&g, &KCore::new(1), &RunConfig::new());
+        let r = System::Hygra.execute(&g, &KCore::new(1), &RunConfig::new());
         assert!(KCore::core_members(&r.state).iter().all(|&alive| alive));
     }
 
@@ -280,7 +280,7 @@ mod tests {
     fn matches_reference_peeling() {
         for (seed, k) in [(1u64, 2usize), (5, 3), (9, 4)] {
             let g = hypergraph::generate::GeneratorConfig::new(300, 200).with_seed(seed).generate();
-            let r = HygraRuntime.execute(&g, &KCore::new(k), &RunConfig::new());
+            let r = System::Hygra.execute(&g, &KCore::new(k), &RunConfig::new());
             let want = reference::kcore(&g, k);
             assert_eq!(KCore::core_members(&r.state), want, "seed {seed} k {k}");
         }
@@ -290,8 +290,8 @@ mod tests {
     fn runtimes_agree() {
         let g = hypergraph::generate::GeneratorConfig::new(300, 200).with_seed(2).generate();
         let cfg = RunConfig::new();
-        let a = HygraRuntime.execute(&g, &KCore::new(3), &cfg);
-        let b = ChGraphRuntime::new().execute(&g, &KCore::new(3), &cfg);
+        let a = System::Hygra.execute(&g, &KCore::new(3), &cfg);
+        let b = System::ChGraph.execute(&g, &KCore::new(3), &cfg);
         assert_eq!(a.state.vertex_aux, b.state.vertex_aux);
         assert_eq!(a.state.hyperedge_aux, b.state.hyperedge_aux);
     }
@@ -300,7 +300,7 @@ mod tests {
     fn decomposition_matches_reference_coreness() {
         for seed in [1u64, 6] {
             let g = hypergraph::generate::GeneratorConfig::new(250, 180).with_seed(seed).generate();
-            let r = HygraRuntime.execute(&g, &CoreDecomposition::new(), &RunConfig::new());
+            let r = System::Hygra.execute(&g, &CoreDecomposition::new(), &RunConfig::new());
             let got = CoreDecomposition::coreness(&r.state);
             let want = reference::coreness(&g);
             assert_eq!(got, want, "seed {seed}");
@@ -312,11 +312,11 @@ mod tests {
         let g = hypergraph::generate::GeneratorConfig::new(200, 150).with_seed(4).generate();
         let cfg = RunConfig::new();
         let cores = CoreDecomposition::coreness(
-            &HygraRuntime.execute(&g, &CoreDecomposition::new(), &cfg).state,
+            &System::Hygra.execute(&g, &CoreDecomposition::new(), &cfg).state,
         );
         for k in 1..=4usize {
             let members =
-                KCore::core_members(&HygraRuntime.execute(&g, &KCore::new(k), &cfg).state);
+                KCore::core_members(&System::Hygra.execute(&g, &KCore::new(k), &cfg).state);
             for v in 0..g.num_vertices() {
                 assert_eq!(members[v], cores[v] >= k, "v{v} at k={k}");
             }
@@ -327,8 +327,8 @@ mod tests {
     fn decomposition_agrees_across_runtimes() {
         let g = hypergraph::generate::GeneratorConfig::new(250, 200).with_seed(8).generate();
         let cfg = RunConfig::new();
-        let a = HygraRuntime.execute(&g, &CoreDecomposition::new(), &cfg);
-        let b = ChGraphRuntime::new().execute(&g, &CoreDecomposition::new(), &cfg);
+        let a = System::Hygra.execute(&g, &CoreDecomposition::new(), &cfg);
+        let b = System::ChGraph.execute(&g, &CoreDecomposition::new(), &cfg);
         assert_eq!(a.state.vertex_aux, b.state.vertex_aux);
     }
 
@@ -336,8 +336,8 @@ mod tests {
     fn cores_are_nested() {
         let g = hypergraph::generate::GeneratorConfig::new(400, 300).with_seed(3).generate();
         let cfg = RunConfig::new();
-        let core2 = KCore::core_members(&HygraRuntime.execute(&g, &KCore::new(2), &cfg).state);
-        let core4 = KCore::core_members(&HygraRuntime.execute(&g, &KCore::new(4), &cfg).state);
+        let core2 = KCore::core_members(&System::Hygra.execute(&g, &KCore::new(2), &cfg).state);
+        let core4 = KCore::core_members(&System::Hygra.execute(&g, &KCore::new(4), &cfg).state);
         for v in 0..g.num_vertices() {
             assert!(!core4[v] || core2[v], "4-core member v{v} missing from 2-core");
         }

@@ -11,7 +11,8 @@
 //!   lines 15–21), run for 10 iterations, all elements active;
 //! - [`Mis`] — maximal independent set (greedy-by-id rounds);
 //! - bc — single-source betweenness centrality (Brandes on the bipartite
-//!   graph; forward + backward executions composed by [`run_workload`]);
+//!   graph; forward + backward executions composed by
+//!   [`try_run_workload_prepared`]);
 //! - [`ConnectedComponents`] — min-label propagation;
 //! - [`KCore`] — k-core decomposition by iterative peeling;
 //!
@@ -25,14 +26,16 @@
 //! # Example
 //!
 //! ```
-//! use chgraph::{HygraRuntime, RunConfig};
-//! use hyperalgos::{run_workload, Workload};
+//! use chgraph::{RunConfig, System};
+//! use hyperalgos::{try_run_workload_prepared, Workload};
 //!
 //! let g = hypergraph::fig1_example();
-//! let report = run_workload(Workload::Bfs, &HygraRuntime, &g, &RunConfig::new());
+//! let report =
+//!     try_run_workload_prepared(Workload::Bfs, &System::Hygra, &g, &RunConfig::new(), None)?;
 //! // v0 is the source: distance 0; its co-members of h0/h2 are 2 hops away.
 //! assert_eq!(report.state.vertex_value[0], 0.0);
 //! assert_eq!(report.state.vertex_value[4], 2.0);
+//! # Ok::<(), chgraph::ExecError>(())
 //! ```
 
 mod adsorption;
@@ -48,12 +51,12 @@ mod sssp;
 mod workload;
 
 pub use adsorption::Adsorption;
-pub use bc::{run_bc, try_run_bc_prepared, BcBackward, BcForward};
+pub use bc::{try_run_bc_prepared, BcBackward, BcForward};
 pub use bfs::Bfs;
 pub use cc::ConnectedComponents;
 pub use kcore::{CoreDecomposition, KCore};
 pub use mis::{Mis, MisStatus};
 pub use pagerank::PageRank;
-pub use selfcheck::{self_check, self_check_prepared, SelfCheckError, SelfCheckReport};
+pub use selfcheck::{self_check_prepared, SelfCheckError, SelfCheckReport};
 pub use sssp::Sssp;
-pub use workload::{default_source, run_workload, try_run_workload_prepared, Workload};
+pub use workload::{default_source, try_run_workload_prepared, Workload};

@@ -150,12 +150,12 @@ impl Algorithm for Mis {
 mod tests {
     use super::*;
     use crate::reference;
-    use chgraph::{ChGraphRuntime, HygraRuntime, RunConfig, Runtime};
+    use chgraph::{RunConfig, System};
 
     #[test]
     fn fig1_mis_is_valid_and_greedy() {
         let g = hypergraph::fig1_example();
-        let r = HygraRuntime.execute(&g, &Mis, &RunConfig::new());
+        let r = System::Hygra.execute(&g, &Mis, &RunConfig::new());
         let statuses = Mis::statuses(&r.state);
         reference::assert_valid_mis(&g, &statuses);
         // Greedy by id: v0 joins first; v2/v4/v6 excluded (share h0/h2);
@@ -171,7 +171,7 @@ mod tests {
     fn random_inputs_yield_valid_maximal_sets() {
         for seed in [2u64, 11, 23] {
             let g = hypergraph::generate::GeneratorConfig::new(300, 150).with_seed(seed).generate();
-            let r = HygraRuntime.execute(&g, &Mis, &RunConfig::new());
+            let r = System::Hygra.execute(&g, &Mis, &RunConfig::new());
             reference::assert_valid_mis(&g, &Mis::statuses(&r.state));
         }
     }
@@ -180,8 +180,8 @@ mod tests {
     fn runtimes_agree() {
         let g = hypergraph::generate::GeneratorConfig::new(250, 120).with_seed(4).generate();
         let cfg = RunConfig::new();
-        let a = HygraRuntime.execute(&g, &Mis, &cfg);
-        let b = ChGraphRuntime::new().execute(&g, &Mis, &cfg);
+        let a = System::Hygra.execute(&g, &Mis, &cfg);
+        let b = System::ChGraph.execute(&g, &Mis, &cfg);
         assert_eq!(a.state.vertex_aux, b.state.vertex_aux);
     }
 

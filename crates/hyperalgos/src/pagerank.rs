@@ -93,7 +93,7 @@ impl Algorithm for PageRank {
 mod tests {
     use super::*;
     use crate::reference;
-    use chgraph::{ChGraphRuntime, HygraRuntime, RunConfig, Runtime};
+    use chgraph::{RunConfig, System};
 
     fn close(a: &[f64], b: &[f64], tol: f64) -> bool {
         a.len() == b.len()
@@ -104,7 +104,7 @@ mod tests {
     fn matches_reference() {
         let g = hypergraph::generate::GeneratorConfig::new(300, 200).with_seed(5).generate();
         let pr = PageRank::new().with_iterations(5);
-        let r = HygraRuntime.execute(&g, &pr, &RunConfig::new());
+        let r = System::Hygra.execute(&g, &pr, &RunConfig::new());
         let want = reference::pagerank(&g, 0.85, 5);
         assert!(close(&r.state.vertex_value, &want, 1e-9), "simulated PR diverges from reference");
     }
@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn mass_is_conserved_approximately() {
         let g = hypergraph::generate::GeneratorConfig::new(400, 300).with_seed(6).generate();
-        let r = HygraRuntime.execute(&g, &PageRank::new(), &RunConfig::new());
+        let r = System::Hygra.execute(&g, &PageRank::new(), &RunConfig::new());
         let total: f64 = r.state.vertex_value.iter().sum();
         // Vertices with no incident hyperedges leak mass; total stays within
         // (0, 1].
@@ -125,8 +125,8 @@ mod tests {
         let g = hypergraph::generate::GeneratorConfig::new(300, 220).with_seed(7).generate();
         let pr = PageRank::new().with_iterations(4);
         let cfg = RunConfig::new();
-        let a = HygraRuntime.execute(&g, &pr, &cfg);
-        let b = ChGraphRuntime::new().execute(&g, &pr, &cfg);
+        let a = System::Hygra.execute(&g, &pr, &cfg);
+        let b = System::ChGraph.execute(&g, &pr, &cfg);
         // Different schedules sum in different orders: equality up to
         // floating-point associativity.
         assert!(close(&a.state.vertex_value, &b.state.vertex_value, 1e-9));
@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn higher_degree_vertices_get_more_rank_than_isolated() {
         let g = hypergraph::fig1_example();
-        let r = HygraRuntime.execute(&g, &PageRank::new(), &RunConfig::new());
+        let r = System::Hygra.execute(&g, &PageRank::new(), &RunConfig::new());
         // Every vertex of fig1 is incident to something; ranks positive.
         assert!(r.state.vertex_value.iter().all(|&x| x > 0.0));
     }

@@ -115,18 +115,9 @@ pub struct SelfCheckReport {
     pub elements_checked: usize,
 }
 
-/// Executes `workload` on `g` under `runtime` and verifies the result
-/// against the naive reference implementation.
-pub fn self_check(
-    workload: Workload,
-    runtime: &dyn Runtime,
-    g: &Hypergraph,
-    cfg: &RunConfig,
-) -> Result<SelfCheckReport, SelfCheckError> {
-    self_check_prepared(workload, runtime, g, cfg, None)
-}
-
-/// [`self_check`] with optional pre-built OAG artifacts.
+/// Executes `workload` on `g` under `runtime`'s system, optionally with
+/// pre-built OAG artifacts, and verifies the result against the naive
+/// reference implementation.
 pub fn self_check_prepared(
     workload: Workload,
     runtime: &dyn Runtime,
@@ -235,14 +226,23 @@ fn diff(field: &'static str, got: &[f64], want: &[f64], tolerance: f64) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chgraph::{ChGraphRuntime, HygraRuntime};
+    use chgraph::System;
+
+    fn self_check(
+        workload: Workload,
+        system: System,
+        g: &Hypergraph,
+        cfg: &RunConfig,
+    ) -> Result<SelfCheckReport, SelfCheckError> {
+        self_check_prepared(workload, &system, g, cfg, None)
+    }
 
     #[test]
     fn every_workload_self_checks_on_fig1() {
         let g = hypergraph::fig1_example();
         let cfg = RunConfig::new();
         for w in Workload::HYPERGRAPH.into_iter().chain(Workload::GRAPH) {
-            let r = self_check(w, &HygraRuntime, &g, &cfg)
+            let r = self_check(w, System::Hygra, &g, &cfg)
                 .unwrap_or_else(|e| panic!("{w} failed its self-check: {e}"));
             assert!(r.elements_checked > 0, "{w} checked nothing");
         }
@@ -253,7 +253,7 @@ mod tests {
         let g = hypergraph::generate::GeneratorConfig::new(200, 120).with_seed(11).generate();
         let cfg = RunConfig::new().with_system(archsim::SystemConfig::scaled(2));
         for w in Workload::HYPERGRAPH {
-            self_check(w, &ChGraphRuntime::new(), &g, &cfg)
+            self_check(w, System::ChGraph, &g, &cfg)
                 .unwrap_or_else(|e| panic!("{w} failed its self-check: {e}"));
         }
     }
@@ -264,7 +264,7 @@ mod tests {
         // the same number of iterations — a mismatch here would diverge.
         let g = hypergraph::generate::GeneratorConfig::new(150, 100).with_seed(3).generate();
         let cfg = RunConfig::new().with_max_iterations(3);
-        let r = self_check(Workload::Pr, &HygraRuntime, &g, &cfg).expect("capped PR diverged");
+        let r = self_check(Workload::Pr, System::Hygra, &g, &cfg).expect("capped PR diverged");
         assert_eq!(r.report.iterations, 3);
     }
 
@@ -272,7 +272,7 @@ mod tests {
     fn a_budget_trip_surfaces_as_an_exec_error() {
         let g = hypergraph::generate::GeneratorConfig::new(150, 100).with_seed(4).generate();
         let cfg = RunConfig::new().with_max_cycles(1);
-        match self_check(Workload::Pr, &HygraRuntime, &g, &cfg) {
+        match self_check(Workload::Pr, System::Hygra, &g, &cfg) {
             Err(SelfCheckError::Exec(ExecError::BudgetExceeded { progress, .. })) => {
                 assert!(progress.cycles > 0, "partial stats must be reported");
             }

@@ -86,14 +86,14 @@ impl Algorithm for Sssp {
 mod tests {
     use super::*;
     use crate::reference;
-    use chgraph::{ChGraphRuntime, HygraRuntime, RunConfig, Runtime};
+    use chgraph::{RunConfig, System};
     use hypergraph::generate::two_uniform_graph;
 
     #[test]
     fn matches_dijkstra_on_graphs() {
         for seed in [4u64, 13] {
             let g = two_uniform_graph(200, 600, seed);
-            let r = HygraRuntime.execute(&g, &Sssp::default(), &RunConfig::new());
+            let r = System::Hygra.execute(&g, &Sssp::default(), &RunConfig::new());
             let want = reference::sssp(&g, VertexId::new(0));
             assert_eq!(r.state.vertex_value, want, "seed {seed}");
         }
@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn matches_dijkstra_on_hypergraphs() {
         let g = hypergraph::generate::GeneratorConfig::new(300, 200).with_seed(6).generate();
-        let r = HygraRuntime.execute(&g, &Sssp::default(), &RunConfig::new());
+        let r = System::Hygra.execute(&g, &Sssp::default(), &RunConfig::new());
         assert_eq!(r.state.vertex_value, reference::sssp(&g, VertexId::new(0)));
     }
 
@@ -110,8 +110,8 @@ mod tests {
     fn runtimes_agree() {
         let g = two_uniform_graph(150, 500, 3);
         let cfg = RunConfig::new();
-        let a = HygraRuntime.execute(&g, &Sssp::default(), &cfg);
-        let b = ChGraphRuntime::new().execute(&g, &Sssp::default(), &cfg);
+        let a = System::Hygra.execute(&g, &Sssp::default(), &cfg);
+        let b = System::ChGraph.execute(&g, &Sssp::default(), &cfg);
         assert_eq!(a.state.vertex_value, b.state.vertex_value);
     }
 

@@ -64,6 +64,23 @@ impl Workload {
             Workload::Adsorption => "Adsorption",
         }
     }
+
+    /// Parses a workload name as the CLI and the daemon accept it, ignoring
+    /// ASCII case: `bfs`, `pr`/`pagerank`, `mis`, `bc`, `cc`,
+    /// `kcore`/`k-core`, `sssp`, `adsorption`.
+    pub fn from_name(name: &str) -> Option<Workload> {
+        Some(match name.to_ascii_lowercase().as_str() {
+            "bfs" => Workload::Bfs,
+            "pr" | "pagerank" => Workload::Pr,
+            "mis" => Workload::Mis,
+            "bc" => Workload::Bc,
+            "cc" => Workload::Cc,
+            "kcore" | "k-core" => Workload::KCore,
+            "sssp" => Workload::Sssp,
+            "adsorption" => Workload::Adsorption,
+            _ => return None,
+        })
+    }
 }
 
 impl fmt::Display for Workload {
@@ -72,29 +89,12 @@ impl fmt::Display for Workload {
     }
 }
 
-/// Executes `workload` on `g` under `runtime` with the standard parameters
-/// of the evaluation (source vertex 0 for traversals, k = 3 for k-core,
-/// 10 iterations for PR/Adsorption).
-///
-/// # Panics
-///
-/// Panics with the [`ExecError`] message if the execution fails; use
-/// [`try_run_workload_prepared`] to keep failures typed.
-pub fn run_workload(
-    workload: Workload,
-    runtime: &dyn Runtime,
-    g: &Hypergraph,
-    cfg: &RunConfig,
-) -> ExecutionReport {
-    try_run_workload_prepared(workload, runtime, g, cfg, None)
-        .unwrap_or_else(|e| panic!("{}: {e}", runtime.name()))
-}
-
-/// Fallible [`run_workload`] with optional pre-built OAG artifacts:
-/// watchdog budgets and structural-validation failures surface as a typed
-/// [`ExecError`]. Passing `Some(prepared)` skips per-execution OAG
-/// construction for chain-driven runtimes; the report is bit-identical
-/// either way (see [`Runtime::try_execute_prepared`]).
+/// Executes `workload` on `g` under `runtime`'s [`System`](chgraph::System)
+/// with the standard parameters of the evaluation (the
+/// [`default_source`] for traversals, full coreness for k-core,
+/// 10 iterations for PR/Adsorption). Passing `Some(prepared)` skips
+/// per-execution OAG construction for chain-driven systems; the report is
+/// bit-identical either way (see [`System::run`](chgraph::System::run)).
 pub fn try_run_workload_prepared(
     workload: Workload,
     runtime: &dyn Runtime,
@@ -102,32 +102,31 @@ pub fn try_run_workload_prepared(
     cfg: &RunConfig,
     prepared: Option<&PreparedOags>,
 ) -> Result<ExecutionReport, ExecError> {
+    let system = runtime.system();
     let source = default_source(g);
     match workload {
-        Workload::Bfs => runtime.try_execute_prepared(g, &Bfs::new(source), cfg, prepared),
-        Workload::Pr => runtime.try_execute_prepared(g, &PageRank::new(), cfg, prepared),
-        Workload::Mis => runtime.try_execute_prepared(g, &Mis, cfg, prepared),
-        Workload::Bc => try_run_bc_prepared(runtime, g, cfg, source, prepared),
-        Workload::Cc => runtime.try_execute_prepared(g, &ConnectedComponents, cfg, prepared),
-        Workload::KCore => {
-            runtime.try_execute_prepared(g, &CoreDecomposition::new(), cfg, prepared)
-        }
-        Workload::Sssp => runtime.try_execute_prepared(g, &Sssp::new(source), cfg, prepared),
-        Workload::Adsorption => runtime.try_execute_prepared(g, &Adsorption::new(), cfg, prepared),
+        Workload::Bfs => system.run(g, &Bfs::new(source), cfg, prepared),
+        Workload::Pr => system.run(g, &PageRank::new(), cfg, prepared),
+        Workload::Mis => system.run(g, &Mis, cfg, prepared),
+        Workload::Bc => try_run_bc_prepared(system, g, cfg, source, prepared),
+        Workload::Cc => system.run(g, &ConnectedComponents, cfg, prepared),
+        Workload::KCore => system.run(g, &CoreDecomposition::new(), cfg, prepared),
+        Workload::Sssp => system.run(g, &Sssp::new(source), cfg, prepared),
+        Workload::Adsorption => system.run(g, &Adsorption::new(), cfg, prepared),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chgraph::HygraRuntime;
+    use chgraph::System;
 
     #[test]
     fn every_workload_runs_on_fig1() {
         let g = hypergraph::fig1_example();
         let cfg = RunConfig::new();
         for w in Workload::HYPERGRAPH.into_iter().chain(Workload::GRAPH) {
-            let r = run_workload(w, &HygraRuntime, &g, &cfg);
+            let r = try_run_workload_prepared(w, &System::Hygra, &g, &cfg, None).unwrap();
             assert!(r.cycles > 0, "{w}: zero cycles");
             assert!(r.iterations > 0, "{w}: zero iterations");
         }
@@ -139,5 +138,25 @@ mod tests {
         assert_eq!(Workload::Pr.abbrev(), "PR");
         assert_eq!(Workload::HYPERGRAPH.len(), 6);
         assert_eq!(Workload::GRAPH.len(), 2);
+    }
+
+    #[test]
+    fn every_workload_spelling_parses() {
+        for (name, want) in [
+            ("bfs", Workload::Bfs),
+            ("pr", Workload::Pr),
+            ("pagerank", Workload::Pr),
+            ("mis", Workload::Mis),
+            ("bc", Workload::Bc),
+            ("cc", Workload::Cc),
+            ("kcore", Workload::KCore),
+            ("k-core", Workload::KCore),
+            ("sssp", Workload::Sssp),
+            ("adsorption", Workload::Adsorption),
+        ] {
+            assert_eq!(Workload::from_name(name), Some(want), "{name}");
+            assert_eq!(Workload::from_name(&name.to_ascii_uppercase()), Some(want), "{name}");
+        }
+        assert_eq!(Workload::from_name("pagerank2"), None);
     }
 }

@@ -354,8 +354,9 @@ wire_struct! {
         /// Workload name (`bfs`, `pr`, `mis`, `bc`, `cc`, `kcore`, `sssp`,
         /// `adsorption`).
         pub workload: String,
-        /// Runtime name (`hygra`, `gla`, `chgraph`, `hcg`, `hats`,
-        /// `prefetcher`).
+        /// Runtime name: a [`chgraph::System::name`] (`hygra`, `gla`,
+        /// `chgraph`, `chgraph-hcg`, `hats-v`, `prefetcher`) or an alias
+        /// (`hcg`, `hats`).
         pub runtime: String,
         /// Dataset abbreviation (`FS`, `OK`, `LJ`, `WEB`, `OG`).
         pub dataset: String,

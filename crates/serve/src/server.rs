@@ -31,10 +31,7 @@ use crate::proto::{
 };
 use crate::stats::{CloseCause, Counters, LatencyHistogram};
 use chg_bench::{ArtifactStore, Fetch, Memo, PreprocessCache, Scale};
-use chgraph::{
-    ChGraphRuntime, ExecutionReport, GlaRuntime, HatsVRuntime, HygraRuntime, PrefetcherRuntime,
-    RunConfig, Runtime, WatchdogConfig,
-};
+use chgraph::{ExecutionReport, RunConfig, System, WatchdogConfig};
 use hyperalgos::{self_check_prepared, try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
 use std::collections::VecDeque;
@@ -543,37 +540,6 @@ fn execute_isolated(request: &RunRequest, shared: &Shared) -> Response {
     }
 }
 
-fn pick_workload(name: &str) -> Option<Workload> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "bfs" => Workload::Bfs,
-        "pr" | "pagerank" => Workload::Pr,
-        "mis" => Workload::Mis,
-        "bc" => Workload::Bc,
-        "cc" => Workload::Cc,
-        "kcore" | "k-core" => Workload::KCore,
-        "sssp" => Workload::Sssp,
-        "adsorption" => Workload::Adsorption,
-        _ => return None,
-    })
-}
-
-fn pick_runtime(name: &str) -> Option<Box<dyn Runtime>> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "hygra" => Box::new(HygraRuntime),
-        "gla" => Box::new(GlaRuntime),
-        "chgraph" => Box::new(ChGraphRuntime::new()),
-        "hcg" => Box::new(ChGraphRuntime::hcg_only()),
-        "hats" | "hats-v" => Box::new(HatsVRuntime),
-        "prefetcher" => Box::new(PrefetcherRuntime),
-        _ => return None,
-    })
-}
-
-/// Whether a runtime consumes [`chgraph::PreparedOags`].
-fn uses_oags(name: &str) -> bool {
-    matches!(name.to_ascii_lowercase().as_str(), "gla" | "chgraph" | "hcg")
-}
-
 /// Per-budget minimum of the service default and the request's own budgets
 /// — a client cannot opt out of the service's runaway protection, only
 /// tighten it.
@@ -620,10 +586,10 @@ fn build_run_config(request: &RunRequest, shared: &Shared) -> Result<RunConfig, 
 /// The uninsulated run path (inside `catch_unwind`).
 fn execute_run(request: &RunRequest, shared: &Shared) -> Response {
     let bad = |msg: String| Response::Error { kind: ErrorKind::BadRequest, message: msg };
-    let Some(workload) = pick_workload(&request.workload) else {
+    let Some(workload) = Workload::from_name(&request.workload) else {
         return bad(format!("unknown workload {:?}", request.workload));
     };
-    let Some(runtime) = pick_runtime(&request.runtime) else {
+    let Some(system) = System::from_name(&request.runtime) else {
         return bad(format!("unknown runtime {:?}", request.runtime));
     };
     let Some(dataset) =
@@ -639,7 +605,7 @@ fn execute_run(request: &RunRequest, shared: &Shared) -> Response {
 
     // Phase 1: artifact preparation (LRU → disk cache → build).
     let t_prepare = Instant::now();
-    let (graph, prepared, fetch) = if uses_oags(&request.runtime) {
+    let (graph, prepared, fetch) = if system.needs_oags() {
         let (g, p, fetch) = shared.store.prepared(dataset, scale, &cfg);
         (g, Some(p), fetch)
     } else {
@@ -660,8 +626,7 @@ fn execute_run(request: &RunRequest, shared: &Shared) -> Response {
     let mut last: Option<Result<ExecutionReport, Response>> = None;
     for _ in 0..request.repeat.max(1) {
         let outcome = if request.self_check {
-            match self_check_prepared(workload, runtime.as_ref(), &graph, &cfg, prepared.as_deref())
-            {
+            match self_check_prepared(workload, &system, &graph, &cfg, prepared.as_deref()) {
                 Ok(checked) => Ok(checked.report),
                 Err(e) => Err(Response::Error {
                     kind: ErrorKind::SelfCheckFailed,
@@ -669,13 +634,7 @@ fn execute_run(request: &RunRequest, shared: &Shared) -> Response {
                 }),
             }
         } else {
-            match try_run_workload_prepared(
-                workload,
-                runtime.as_ref(),
-                &graph,
-                &cfg,
-                prepared.as_deref(),
-            ) {
+            match try_run_workload_prepared(workload, &system, &graph, &cfg, prepared.as_deref()) {
                 Ok(report) => Ok(report),
                 Err(e) => Err(error_response(&e)),
             }

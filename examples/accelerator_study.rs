@@ -8,7 +8,7 @@
 //! ```
 
 use chgraph::engine::EngineCostModel;
-use chgraph::{ChGraphRuntime, HygraRuntime, RunConfig, Runtime};
+use chgraph::{RunConfig, System};
 use hyperalgos::PageRank;
 use hypergraph::datasets::Dataset;
 use oag::{ChainConfig, OagConfig};
@@ -16,7 +16,7 @@ use oag::{ChainConfig, OagConfig};
 fn main() {
     let g = Dataset::LiveJournal.load();
     let pr = PageRank::new().with_iterations(5);
-    let baseline = HygraRuntime.execute(&g, &pr, &RunConfig::new());
+    let baseline = System::Hygra.execute(&g, &pr, &RunConfig::new());
     println!(
         "LiveJournal stand-in, PR x5 iterations; Hygra baseline: {} cycles\n",
         baseline.cycles
@@ -34,7 +34,7 @@ fn main() {
                     .with_chain(ChainConfig::new(d_max))
                     .with_oag(OagConfig::new().with_w_min(w_min));
                 cfg.fifo_capacity = fifo;
-                let r = ChGraphRuntime::new().execute(&g, &pr, &cfg);
+                let r = System::ChGraph.execute(&g, &pr, &cfg);
                 let line = format!(
                     "{:<8} {:<8} {:<6} {:>12} {:>8.2}x {:>10.2}x",
                     d_max,

@@ -9,8 +9,8 @@
 //! cargo run --release --example ordinary_graphs
 //! ```
 
-use chgraph::{ChGraphRuntime, HatsVRuntime, HygraRuntime, RunConfig, Runtime};
-use hyperalgos::{run_workload, Workload};
+use chgraph::{RunConfig, System};
+use hyperalgos::{try_run_workload_prepared, Workload};
 use hypergraph::datasets::GraphDataset;
 
 fn main() {
@@ -22,14 +22,15 @@ fn main() {
     for w in Workload::GRAPH {
         for gd in GraphDataset::ALL {
             let g = gd.load();
-            let ligra = run_workload(w, &HygraRuntime, &g, &cfg);
-            let systems: [(&str, &dyn Runtime); 3] = [
-                ("Ligra", &HygraRuntime),
-                ("HATS", &HatsVRuntime),
-                ("ChGraph", &ChGraphRuntime::new()),
-            ];
-            for (label, rt) in systems {
-                let r = run_workload(w, rt, &g, &cfg);
+            let run = |sys: System| {
+                try_run_workload_prepared(w, &sys, &g, &cfg, None)
+                    .unwrap_or_else(|e| panic!("{w} under {}: {e}", sys.name()))
+            };
+            let ligra = run(System::Hygra);
+            for (label, sys) in
+                [("Ligra", System::Hygra), ("HATS", System::HatsV), ("ChGraph", System::ChGraph)]
+            {
+                let r = run(sys);
                 println!(
                     "{:<11} {:<6} {:<10} {:>13} {:>15} {:>8.2}x",
                     w.abbrev(),

@@ -6,8 +6,8 @@
 //! cargo run --release --example preprocessing_cache
 //! ```
 
-use chgraph::{ChGraphRuntime, RunConfig};
-use hyperalgos::{run_workload, Workload};
+use chgraph::{RunConfig, System};
+use hyperalgos::{try_run_workload_prepared, Workload};
 use hypergraph::{Hypergraph, Side};
 use oag::{Oag, OagConfig};
 use std::io::BufReader;
@@ -73,11 +73,11 @@ fn main() {
 
     // One preprocessing, many algorithms (the paper's amortization claim).
     let cfg = RunConfig::new();
-    let runtime = ChGraphRuntime::new();
     println!("\nrunning the whole workload suite against the cached input:");
     for w in Workload::HYPERGRAPH {
         let t0 = Instant::now();
-        let r = run_workload(w, &runtime, &g2, &cfg);
+        let r = try_run_workload_prepared(w, &System::ChGraph, &g2, &cfg, None)
+            .unwrap_or_else(|e| panic!("{w}: {e}"));
         println!(
             "  {:<7} {:>12} simulated cycles, {:>9} DRAM accesses  (host {:?})",
             w.abbrev(),

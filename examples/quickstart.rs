@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use chgraph::{ChGraphRuntime, GlaRuntime, HygraRuntime, RunConfig, Runtime};
+use chgraph::{RunConfig, System};
 use hyperalgos::PageRank;
 use hypergraph::datasets::Dataset;
 
@@ -23,9 +23,9 @@ fn main() {
     let cfg = RunConfig::new();
     let pr = PageRank::new();
 
-    let hygra = HygraRuntime.execute(&g, &pr, &cfg);
-    let gla = GlaRuntime.execute(&g, &pr, &cfg);
-    let chg = ChGraphRuntime::new().execute(&g, &pr, &cfg);
+    let hygra = System::Hygra.execute(&g, &pr, &cfg);
+    let gla = System::Gla.execute(&g, &pr, &cfg);
+    let chg = System::ChGraph.execute(&g, &pr, &cfg);
 
     println!(
         "\n{:<10} {:>14} {:>16} {:>10} {:>12}",

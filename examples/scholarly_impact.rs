@@ -13,7 +13,7 @@
 //! cargo run --release --example scholarly_impact
 //! ```
 
-use chgraph::{ChGraphRuntime, HygraRuntime, RunConfig, Runtime};
+use chgraph::{RunConfig, System};
 use hyperalgos::PageRank;
 use hypergraph::{Hypergraph, HypergraphBuilder, VertexId};
 use rand::rngs::SmallRng;
@@ -90,7 +90,7 @@ fn main() {
     );
 
     let cfg = RunConfig::new();
-    let hyper = ChGraphRuntime::new().execute(&g, &PageRank::new(), &cfg);
+    let hyper = System::ChGraph.execute(&g, &PageRank::new(), &cfg);
 
     let clique = clique_expand(&g);
     println!(
@@ -98,7 +98,7 @@ fn main() {
         g.num_bipartite_edges(),
         clique.num_hyperedges()
     );
-    let flat = HygraRuntime.execute(&clique, &PageRank::new(), &cfg);
+    let flat = System::Hygra.execute(&clique, &PageRank::new(), &cfg);
 
     println!("\ntop authors by hypergraph PageRank (papers weighted once):");
     for (author, rank) in top_k(&hyper.state.vertex_value, 8) {

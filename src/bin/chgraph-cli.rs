@@ -18,10 +18,8 @@
 
 use archsim::SystemConfig;
 use chg_serve::WireMessage;
-use chgraph::{
-    ChGraphRuntime, GlaRuntime, HatsVRuntime, HygraRuntime, PrefetcherRuntime, RunConfig, Runtime,
-};
-use hyperalgos::{self_check, try_run_workload_prepared, Workload};
+use chgraph::{RunConfig, System};
+use hyperalgos::{self_check_prepared, try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
 use hypergraph::{stats, Hypergraph, Side};
 use std::collections::HashMap;
@@ -30,7 +28,8 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  chgraph-cli run --workload <bfs|pr|mis|bc|cc|kcore|sssp|adsorption>\n\
-         \x20                 --runtime <hygra|gla|chgraph|hcg|hats|prefetcher>\n\
+         \x20                 --runtime <hygra|gla|chgraph|chgraph-hcg|hats-v|prefetcher>\n\
+         \x20                 (runtime aliases: hcg = chgraph-hcg, hats = hats-v)\n\
          \x20                 (--dataset <FS|OK|LJ|WEB|OG> | --input <file.hgr>)\n\
          \x20                 [--cores <n>] [--dmax <n>] [--wmin <n>] [--iters <n>]\n\
          \x20                 [--threads <n>]  (host threads for OAG construction;\n\
@@ -102,40 +101,16 @@ fn load_input(flags: &HashMap<String, String>) -> Result<Hypergraph, String> {
     Err("need --dataset or --input".into())
 }
 
-fn pick_workload(name: &str) -> Option<Workload> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "bfs" => Workload::Bfs,
-        "pr" | "pagerank" => Workload::Pr,
-        "mis" => Workload::Mis,
-        "bc" => Workload::Bc,
-        "cc" => Workload::Cc,
-        "kcore" | "k-core" => Workload::KCore,
-        "sssp" => Workload::Sssp,
-        "adsorption" => Workload::Adsorption,
-        _ => return None,
-    })
-}
-
-fn pick_runtime(name: &str) -> Option<Box<dyn Runtime>> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "hygra" => Box::new(HygraRuntime),
-        "gla" => Box::new(GlaRuntime),
-        "chgraph" => Box::new(ChGraphRuntime::new()),
-        "hcg" => Box::new(ChGraphRuntime::hcg_only()),
-        "hats" | "hats-v" => Box::new(HatsVRuntime),
-        "prefetcher" => Box::new(PrefetcherRuntime),
-        _ => return None,
-    })
-}
-
 fn cmd_run(flags: HashMap<String, String>) -> Result<(), String> {
     let mut g = load_input(&flags)?;
     let workload = flags
         .get("workload")
-        .and_then(|w| pick_workload(w))
+        .and_then(|w| Workload::from_name(w))
         .ok_or("missing or unknown --workload")?;
-    let runtime =
-        flags.get("runtime").and_then(|r| pick_runtime(r)).ok_or("missing or unknown --runtime")?;
+    let system = flags
+        .get("runtime")
+        .and_then(|r| System::from_name(r))
+        .ok_or("missing or unknown --runtime")?;
     let mut cfg = RunConfig::new().with_oag_build_threads(chg_bench::default_threads());
     if let Some(t) = flags.get("threads") {
         cfg = cfg.with_oag_build_threads(t.parse().map_err(|_| "bad --threads")?);
@@ -178,7 +153,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<(), String> {
     let started = std::time::Instant::now();
     let report = if self_checked {
         let checked =
-            self_check(workload, runtime.as_ref(), &g, &cfg).map_err(|e| format!("{e}"))?;
+            self_check_prepared(workload, &system, &g, &cfg, None).map_err(|e| format!("{e}"))?;
         if !json {
             println!(
                 "self-check passed: {} elements match the reference\n",
@@ -187,8 +162,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<(), String> {
         }
         checked.report
     } else {
-        try_run_workload_prepared(workload, runtime.as_ref(), &g, &cfg, None)
-            .map_err(|e| format!("{e}"))?
+        try_run_workload_prepared(workload, &system, &g, &cfg, None).map_err(|e| format!("{e}"))?
     };
     if json {
         // The same RunResult schema a daemon reply carries; a local run has

@@ -1,7 +1,7 @@
 //! Property-based verification of the algorithms against their naive
 //! references, on randomly generated hypergraphs.
 
-use chgraph::{ChGraphRuntime, HygraRuntime, RunConfig, Runtime};
+use chgraph::{RunConfig, System};
 use hyperalgos::{
     default_source, reference, Bfs, ConnectedComponents, CoreDecomposition, Mis, PageRank, Sssp,
 };
@@ -36,7 +36,7 @@ proptest! {
     #[test]
     fn bfs_matches_reference(g in arb_graph()) {
         let src = default_source(&g);
-        let r = HygraRuntime.execute(&g, &Bfs::new(src), &cfg());
+        let r = System::Hygra.execute(&g, &Bfs::new(src), &cfg());
         let (vd, hd) = reference::bfs(&g, src);
         prop_assert_eq!(r.state.vertex_value, vd);
         prop_assert_eq!(r.state.hyperedge_value, hd);
@@ -44,34 +44,34 @@ proptest! {
 
     #[test]
     fn cc_matches_reference(g in arb_graph()) {
-        let r = ChGraphRuntime::new().execute(&g, &ConnectedComponents, &cfg());
+        let r = System::ChGraph.execute(&g, &ConnectedComponents, &cfg());
         prop_assert_eq!(r.state.vertex_value, reference::connected_components(&g));
     }
 
     #[test]
     fn coreness_matches_reference(g in arb_graph()) {
-        let r = HygraRuntime.execute(&g, &CoreDecomposition::new(), &cfg());
+        let r = System::Hygra.execute(&g, &CoreDecomposition::new(), &cfg());
         let got = CoreDecomposition::coreness(&r.state);
         prop_assert_eq!(got, reference::coreness(&g));
     }
 
     #[test]
     fn mis_is_always_valid_and_maximal(g in arb_graph()) {
-        let r = ChGraphRuntime::new().execute(&g, &Mis, &cfg());
+        let r = System::ChGraph.execute(&g, &Mis, &cfg());
         reference::assert_valid_mis(&g, &Mis::statuses(&r.state));
     }
 
     #[test]
     fn sssp_matches_dijkstra(g in arb_graph()) {
         let src = default_source(&g);
-        let r = HygraRuntime.execute(&g, &Sssp::new(src), &cfg());
+        let r = System::Hygra.execute(&g, &Sssp::new(src), &cfg());
         prop_assert_eq!(r.state.vertex_value, reference::sssp(&g, src));
     }
 
     #[test]
     fn pagerank_matches_reference_within_float_noise(g in arb_graph()) {
         let pr = PageRank::new().with_iterations(4);
-        let r = HygraRuntime.execute(&g, &pr, &cfg());
+        let r = System::Hygra.execute(&g, &pr, &cfg());
         let want = reference::pagerank(&g, 0.85, 4);
         for (got, want) in r.state.vertex_value.iter().zip(&want) {
             prop_assert!((got - want).abs() < 1e-9, "{got} vs {want}");
@@ -81,7 +81,7 @@ proptest! {
     #[test]
     fn bc_dependencies_are_nonnegative_and_zero_off_component(g in arb_graph()) {
         let src = default_source(&g);
-        let r = hyperalgos::run_bc(&HygraRuntime, &g, &cfg(), src);
+        let r = hyperalgos::try_run_bc_prepared(System::Hygra, &g, &cfg(), src, None).unwrap();
         let (vd, _) = reference::bfs(&g, src);
         for (v, (&delta, &dist)) in r.state.vertex_value.iter().zip(&vd).enumerate() {
             prop_assert!(delta >= 0.0, "v{v} has negative dependency {delta}");

@@ -1,10 +1,8 @@
 //! Cross-runtime equivalence: every scheduling strategy must compute the
 //! same results — chains change performance, never semantics.
 
-use chgraph::{
-    ChGraphRuntime, GlaRuntime, HatsVRuntime, HygraRuntime, PrefetcherRuntime, RunConfig, Runtime,
-};
-use hyperalgos::{run_workload, Workload};
+use chgraph::{ExecutionReport, RunConfig, System};
+use hyperalgos::{try_run_workload_prepared, Workload};
 use hypergraph::generate::GeneratorConfig;
 use hypergraph::Hypergraph;
 
@@ -21,15 +19,9 @@ fn graphs() -> Vec<Hypergraph> {
     ]
 }
 
-fn runtimes() -> Vec<Box<dyn Runtime>> {
-    vec![
-        Box::new(HygraRuntime),
-        Box::new(GlaRuntime),
-        Box::new(ChGraphRuntime::new()),
-        Box::new(ChGraphRuntime::hcg_only()),
-        Box::new(HatsVRuntime),
-        Box::new(PrefetcherRuntime),
-    ]
+fn run(w: Workload, sys: System, g: &Hypergraph, cfg: &RunConfig) -> ExecutionReport {
+    try_run_workload_prepared(w, &sys, g, cfg, None)
+        .unwrap_or_else(|e| panic!("{w} under {}: {e}", sys.name()))
 }
 
 /// Exact equality for min/count-style algorithms; tolerance for float
@@ -65,14 +57,14 @@ fn all_runtimes_agree_on_all_workloads() {
     let cfg = RunConfig::new().with_system(archsim::SystemConfig::scaled(4));
     for (gi, g) in graphs().iter().enumerate() {
         for w in Workload::HYPERGRAPH.into_iter().chain(Workload::GRAPH) {
-            let reference = run_workload(w, &HygraRuntime, g, &cfg);
-            for rt in runtimes() {
-                let r = run_workload(w, rt.as_ref(), g, &cfg);
+            let reference = run(w, System::Hygra, g, &cfg);
+            for sys in System::ALL {
+                let r = run(w, sys, g, &cfg);
                 assert_state_eq(
                     &r.state,
                     &reference.state,
                     tolerance_of(w),
-                    &format!("graph {gi}, {w}, {}", rt.name()),
+                    &format!("graph {gi}, {w}, {}", sys.name()),
                 );
             }
         }
@@ -84,8 +76,8 @@ fn iteration_counts_match_across_runtimes() {
     let g = GeneratorConfig::new(500, 400).with_seed(7).generate();
     let cfg = RunConfig::new().with_system(archsim::SystemConfig::scaled(2));
     for w in [Workload::Bfs, Workload::Cc, Workload::KCore] {
-        let a = run_workload(w, &HygraRuntime, &g, &cfg);
-        let b = run_workload(w, &ChGraphRuntime::new(), &g, &cfg);
+        let a = run(w, System::Hygra, &g, &cfg);
+        let b = run(w, System::ChGraph, &g, &cfg);
         assert_eq!(a.iterations, b.iterations, "{w}");
     }
 }
@@ -94,18 +86,9 @@ fn iteration_counts_match_across_runtimes() {
 fn core_count_does_not_change_results() {
     let g = GeneratorConfig::new(500, 400).with_seed(8).generate();
     for w in [Workload::Bfs, Workload::Cc, Workload::Mis] {
-        let one = run_workload(
-            w,
-            &ChGraphRuntime::new(),
-            &g,
-            &RunConfig::new().with_system(archsim::SystemConfig::scaled(1)),
-        );
-        let sixteen = run_workload(
-            w,
-            &ChGraphRuntime::new(),
-            &g,
-            &RunConfig::new().with_system(archsim::SystemConfig::scaled(16)),
-        );
+        let cores = |n| RunConfig::new().with_system(archsim::SystemConfig::scaled(n));
+        let one = run(w, System::ChGraph, &g, &cores(1));
+        let sixteen = run(w, System::ChGraph, &g, &cores(16));
         assert_eq!(one.state.vertex_value, sixteen.state.vertex_value, "{w}");
     }
 }
@@ -113,13 +96,13 @@ fn core_count_does_not_change_results() {
 #[test]
 fn chain_parameters_do_not_change_results() {
     let g = GeneratorConfig::new(500, 400).with_seed(9).generate();
-    let base = run_workload(Workload::Cc, &ChGraphRuntime::new(), &g, &RunConfig::new());
+    let base = run(Workload::Cc, System::ChGraph, &g, &RunConfig::new());
     for d_max in [1usize, 4, 64] {
         for w_min in [1u32, 5] {
             let cfg = RunConfig::new()
                 .with_chain(oag::ChainConfig::new(d_max))
                 .with_oag(oag::OagConfig::new().with_w_min(w_min));
-            let r = run_workload(Workload::Cc, &ChGraphRuntime::new(), &g, &cfg);
+            let r = run(Workload::Cc, System::ChGraph, &g, &cfg);
             assert_eq!(
                 r.state.vertex_value, base.state.vertex_value,
                 "D_max={d_max} W_min={w_min}"

@@ -7,10 +7,9 @@
 //! traced to the invariant it protects.
 
 use chgraph::{
-    Algorithm, Budget, ChGraphRuntime, ExecError, GlaRuntime, HatsVRuntime, HygraRuntime,
-    PrefetcherRuntime, RunConfig, Runtime, State, UpdateOutcome, WatchdogConfig,
+    Algorithm, Budget, ExecError, RunConfig, State, System, UpdateOutcome, WatchdogConfig,
 };
-use hyperalgos::{self_check, SelfCheckError, Workload};
+use hyperalgos::{self_check_prepared, SelfCheckError, Workload};
 use hypergraph::generate::GeneratorConfig;
 use hypergraph::{Csr, Frontier, Hypergraph, Side, ValidationError};
 use oag::{generate_chains, ChainConfig, ChainSet, OagConfig};
@@ -191,10 +190,10 @@ impl Algorithm for NeverConverges {
 fn cycle_budget_converts_a_livelock_into_a_typed_error_with_partial_stats() {
     let g = GeneratorConfig::new(128, 64).with_seed(9).generate();
     // Measure one iteration's cost, then budget for roughly three.
-    let one = HygraRuntime.execute(&g, &NeverConverges, &small_cfg().with_max_iterations(1));
+    let one = System::Hygra.execute(&g, &NeverConverges, &small_cfg().with_max_iterations(1));
     assert!(one.cycles > 0);
     let cfg = small_cfg().with_max_cycles(3 * one.cycles);
-    match HygraRuntime.try_execute(&g, &NeverConverges, &cfg) {
+    match System::Hygra.run(&g, &NeverConverges, &cfg, None) {
         Err(ExecError::BudgetExceeded { phase, budget: Budget::Cycles, progress }) => {
             assert!(!phase.is_empty(), "phase must name where the budget tripped");
             assert!(progress.cycles >= 3 * one.cycles, "trip happens only past the budget");
@@ -210,7 +209,7 @@ fn stalled_frontier_budget_trips_on_a_non_shrinking_frontier() {
     let g = GeneratorConfig::new(128, 64).with_seed(10).generate();
     let watchdog = WatchdogConfig::default().with_max_stalled_iterations(4);
     let cfg = small_cfg().with_watchdog(watchdog);
-    match HygraRuntime.try_execute(&g, &NeverConverges, &cfg) {
+    match System::Hygra.run(&g, &NeverConverges, &cfg, None) {
         Err(ExecError::BudgetExceeded { budget: Budget::StalledFrontier, progress, .. }) => {
             assert!(progress.frontier_len > 0);
             assert!(
@@ -228,13 +227,13 @@ fn stalled_frontier_budget_trips_on_a_non_shrinking_frontier() {
 fn watchdogs_do_not_perturb_converging_runs() {
     // A generous budget must leave results bit-identical to an unguarded run.
     let g = GeneratorConfig::new(128, 64).with_seed(11).generate();
-    let plain = HygraRuntime.execute(&g, &hyperalgos::ConnectedComponents, &small_cfg());
+    let plain = System::Hygra.execute(&g, &hyperalgos::ConnectedComponents, &small_cfg());
     let guarded_cfg = small_cfg()
         .with_watchdog(WatchdogConfig::default().with_max_stalled_iterations(1_000))
         .with_max_cycles(u64::MAX)
         .with_validate(true);
-    let guarded = HygraRuntime
-        .try_execute(&g, &hyperalgos::ConnectedComponents, &guarded_cfg)
+    let guarded = System::Hygra
+        .run(&g, &hyperalgos::ConnectedComponents, &guarded_cfg, None)
         .expect("generous budgets never trip");
     assert_eq!(plain.state.vertex_value, guarded.state.vertex_value);
     assert_eq!(plain.cycles, guarded.cycles);
@@ -244,11 +243,10 @@ fn watchdogs_do_not_perturb_converging_runs() {
 fn chain_runtimes_honor_budgets_and_deep_validation_together() {
     let g = GeneratorConfig::new(128, 64).with_seed(12).generate();
     let cfg = small_cfg().with_validate(true).with_max_cycles(u64::MAX);
-    for (name, runtime) in
-        [("gla", &GlaRuntime as &dyn Runtime), ("chgraph", &ChGraphRuntime::new() as &dyn Runtime)]
-    {
-        let r = runtime
-            .try_execute(&g, &hyperalgos::ConnectedComponents, &cfg)
+    for sys in System::ALL.into_iter().filter(|s| s.needs_oags()) {
+        let name = sys.name();
+        let r = sys
+            .run(&g, &hyperalgos::ConnectedComponents, &cfg, None)
             .unwrap_or_else(|e| panic!("{name}: healthy run must pass deep validation: {e}"));
         assert!(r.cycles > 0, "{name}");
     }
@@ -261,7 +259,7 @@ fn unsimulatable_machine_configs_are_typed_errors() {
     cfg.system.num_cores = 33;
     cfg.system.noc.width = 6;
     cfg.system.noc.height = 6;
-    match HygraRuntime.try_execute(&g, &hyperalgos::ConnectedComponents, &cfg) {
+    match System::Hygra.run(&g, &hyperalgos::ConnectedComponents, &cfg, None) {
         Err(ExecError::InvalidConfig(msg)) => {
             assert!(msg.contains("directory bitmask supports up to 32 cores"), "{msg}");
         }
@@ -278,18 +276,17 @@ fn zero_fifo_capacity_is_a_typed_error_only_for_decoupled_engines() {
     let mut cfg = small_cfg();
     cfg.fifo_capacity = 0;
     let algo = hyperalgos::ConnectedComponents;
-    for runtime in [&ChGraphRuntime::new() as &dyn Runtime, &HatsVRuntime] {
-        match runtime.try_execute(&g, &algo, &cfg) {
+    for sys in [System::ChGraph, System::HatsV] {
+        match sys.run(&g, &algo, &cfg, None) {
             Err(ExecError::InvalidConfig(msg)) => assert!(msg.contains("fifo_capacity"), "{msg}"),
-            other => panic!("{}: expected InvalidConfig, got {other:?}", runtime.name()),
+            other => panic!("{}: expected InvalidConfig, got {other:?}", sys.name()),
         }
     }
-    let hcg_only = ChGraphRuntime::hcg_only();
-    for runtime in [&HygraRuntime as &dyn Runtime, &GlaRuntime, &hcg_only, &PrefetcherRuntime] {
-        let r = runtime
-            .try_execute(&g, &algo, &cfg)
-            .unwrap_or_else(|e| panic!("{}: no FIFO, so capacity 0 is fine: {e}", runtime.name()));
-        assert!(r.cycles > 0, "{}", runtime.name());
+    for sys in [System::Hygra, System::Gla, System::HcgOnly, System::Prefetcher] {
+        let r = sys
+            .run(&g, &algo, &cfg, None)
+            .unwrap_or_else(|e| panic!("{}: no FIFO, so capacity 0 is fine: {e}", sys.name()));
+        assert!(r.cycles > 0, "{}", sys.name());
     }
 }
 
@@ -301,11 +298,10 @@ fn zero_fifo_capacity_is_a_typed_error_only_for_decoupled_engines() {
 fn all_eight_workloads_self_check_under_every_runtime_family() {
     let g = GeneratorConfig::new(160, 90).with_seed(21).generate();
     let cfg = small_cfg();
-    for runtime in [&HygraRuntime as &dyn Runtime, &GlaRuntime, &ChGraphRuntime::new()] {
+    for sys in [System::Hygra, System::Gla, System::ChGraph] {
         for w in Workload::HYPERGRAPH.into_iter().chain(Workload::GRAPH) {
-            let checked = self_check(w, runtime, &g, &cfg).unwrap_or_else(|e| {
-                panic!("{w} under {} failed its self-check: {e}", runtime.name())
-            });
+            let checked = self_check_prepared(w, &sys, &g, &cfg, None)
+                .unwrap_or_else(|e| panic!("{w} under {} failed its self-check: {e}", sys.name()));
             assert!(checked.elements_checked > 0, "{w}: nothing was compared");
         }
     }
@@ -315,7 +311,7 @@ fn all_eight_workloads_self_check_under_every_runtime_family() {
 fn self_check_reports_budget_trips_as_exec_errors_with_progress() {
     let g = GeneratorConfig::new(160, 90).with_seed(22).generate();
     let cfg = small_cfg().with_max_cycles(1);
-    match self_check(Workload::Cc, &HygraRuntime, &g, &cfg) {
+    match self_check_prepared(Workload::Cc, &System::Hygra, &g, &cfg, None) {
         Err(SelfCheckError::Exec(ExecError::BudgetExceeded { progress, .. })) => {
             assert!(progress.cycles > 0, "partial stats survive the trip");
         }

@@ -270,7 +270,7 @@ proptest! {
 fn simulated_results_match_golden_fingerprints() {
     use archsim::SystemConfig;
     use chg_serve::proto::fingerprint_report;
-    use chgraph::{ChGraphRuntime, GlaRuntime, RunConfig, Runtime};
+    use chgraph::{RunConfig, System};
     use hyperalgos::{try_run_workload_prepared, Workload};
     use hypergraph::datasets::Dataset;
 
@@ -286,40 +286,40 @@ fn simulated_results_match_golden_fingerprints() {
     // the total tuple count keeps it from ever filling.
     let mut fifo_never_full = pr;
     fifo_never_full.fifo_capacity = g.num_bipartite_edges() + 1;
-    let check = |name: &str, workload, runtime: &dyn Runtime, cfg: &RunConfig, want| {
-        let r = try_run_workload_prepared(workload, runtime, &g, cfg, None).expect(name);
+    let check = |name: &str, workload, system: System, cfg: &RunConfig, want| {
+        let r = try_run_workload_prepared(workload, &system, &g, cfg, None).expect(name);
         let got = (fingerprint_report(&r), r.mem.main_memory_accesses(), r.mem.invalidations);
         assert_eq!(got, want, "{name}: (fingerprint, main-memory accesses, invalidations)");
         r
     };
-    let chgraph = ChGraphRuntime::new();
+    let chgraph = System::ChGraph;
     check(
         "serve hit: BFS/ChGraph",
         Workload::Bfs,
-        &chgraph,
+        chgraph,
         &served,
         (0xe350_d3bb_a0d2_0048, 1708, 271),
     );
-    check("PR/ChGraph", Workload::Pr, &chgraph, &pr, (0xfd81_69b2_02e3_ef3c, 5658, 24312));
-    check("PR/GLA", Workload::Pr, &GlaRuntime, &pr, (0x8378_4633_3dd9_0f4f, 5890, 24351));
+    check("PR/ChGraph", Workload::Pr, chgraph, &pr, (0xfd81_69b2_02e3_ef3c, 5658, 24312));
+    check("PR/GLA", Workload::Pr, System::Gla, &pr, (0x8378_4633_3dd9_0f4f, 5890, 24351));
     check(
         "PR/ChGraph, inclusive L3",
         Workload::Pr,
-        &chgraph,
+        chgraph,
         &pr_inclusive,
         (0x85b6_85bc_0dfc_3e21, 13420, 23691),
     );
     check(
         "PR/ChGraph, 1-entry FIFO",
         Workload::Pr,
-        &chgraph,
+        chgraph,
         &fifo_one,
         (0xad32_99da_8b32_13b6, 5658, 24312),
     );
     let r = check(
         "PR/ChGraph, FIFO never full",
         Workload::Pr,
-        &chgraph,
+        chgraph,
         &fifo_never_full,
         (0x3cb0_00b5_e3c1_9e51, 5658, 24312),
     );

@@ -6,8 +6,8 @@
 
 use chg_bench::figures::{Harness, System};
 use chg_bench::{load_scaled, Scale};
-use chgraph::{ChGraphRuntime, GlaRuntime, PreparedOags, RunConfig, Runtime};
-use hyperalgos::Workload;
+use chgraph::{PreparedOags, RunConfig};
+use hyperalgos::{try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
 use hypergraph::Side;
 use oag::OagConfig;
@@ -113,23 +113,19 @@ fn degraded_grid_is_identical_to_healthy_grid_on_surviving_cells() {
     }
 }
 
+/// Every system, including the three that ignore `prepared`, reports the
+/// same with matching prepared OAGs as with none.
 #[test]
 fn prepared_oags_reuse_is_bit_identical_to_fresh_builds() {
     let cfg = RunConfig::new();
     let g = load_scaled(Dataset::ComOrkut, Scale(0.05));
     let prepared = PreparedOags::build(&g, &cfg);
-    for runtime in [&GlaRuntime as &dyn Runtime, &ChGraphRuntime::new()] {
+    for sys in System::ALL {
         for w in [Workload::Cc, Workload::Bfs] {
-            let fresh = hyperalgos::run_workload(w, runtime, &g, &cfg);
-            let reused =
-                hyperalgos::try_run_workload_prepared(w, runtime, &g, &cfg, Some(&prepared))
-                    .expect("prepared run");
-            assert_eq!(
-                fresh,
-                reused,
-                "{}/{w:?}: prepared reuse changed the report",
-                runtime.name()
-            );
+            let fresh = try_run_workload_prepared(w, &sys, &g, &cfg, None).expect("fresh run");
+            let reused = try_run_workload_prepared(w, &sys, &g, &cfg, Some(&prepared))
+                .expect("prepared run");
+            assert_eq!(fresh, reused, "{}/{w:?}: prepared reuse changed the report", sys.name());
         }
     }
 }
@@ -139,16 +135,17 @@ fn mismatched_prepared_oags_fall_back_to_fresh_build() {
     let cfg = RunConfig::new();
     let g = load_scaled(Dataset::LiveJournal, Scale(0.05));
     let stale = PreparedOags::build(&g, &cfg.with_oag(OagConfig::new().with_w_min(7)));
-    let fresh = hyperalgos::run_workload(Workload::Cc, &ChGraphRuntime::new(), &g, &cfg);
-    let guarded = hyperalgos::try_run_workload_prepared(
-        Workload::Cc,
-        &ChGraphRuntime::new(),
-        &g,
-        &cfg,
-        Some(&stale),
-    )
-    .expect("guarded run");
-    assert_eq!(fresh, guarded, "config-mismatched PreparedOags must be ignored");
+    for sys in System::ALL.into_iter().filter(|s| s.needs_oags()) {
+        let fresh = try_run_workload_prepared(Workload::Cc, &sys, &g, &cfg, None).expect("fresh");
+        let guarded = try_run_workload_prepared(Workload::Cc, &sys, &g, &cfg, Some(&stale))
+            .expect("guarded run");
+        assert_eq!(
+            fresh,
+            guarded,
+            "{}: config-mismatched PreparedOags must be ignored",
+            sys.name()
+        );
+    }
 }
 
 proptest! {

@@ -65,14 +65,14 @@ fn partitioned_input_yields_longer_chains() {
 
 #[test]
 fn partitioning_improves_chgraph_on_globally_shuffled_inputs() {
-    use chgraph::{ChGraphRuntime, RunConfig, Runtime};
+    use chgraph::{RunConfig, System};
     let g = shuffled_families();
     let parts = streaming_partition(&g, 16);
     let (reordered, _) = apply_hyperedge_partition(&g, &parts);
     let cfg = RunConfig::new();
     let pr = hyperalgos::PageRank::new().with_iterations(3);
-    let base = ChGraphRuntime::new().execute(&g, &pr, &cfg);
-    let part = ChGraphRuntime::new().execute(&reordered, &pr, &cfg);
+    let base = System::ChGraph.execute(&g, &pr, &cfg);
+    let part = System::ChGraph.execute(&reordered, &pr, &cfg);
     assert!(
         part.mem.main_memory_accesses() < base.mem.main_memory_accesses(),
         "co-locating families must cut ChGraph's off-chip traffic ({} vs {})",

@@ -104,10 +104,10 @@ proptest! {
 
     #[test]
     fn runtimes_agree_on_random_hypergraphs(g in arb_hypergraph()) {
-        use chgraph::{ChGraphRuntime, HygraRuntime, MinLabel, RunConfig, Runtime};
+        use chgraph::{MinLabel, RunConfig, System};
         let cfg = RunConfig::new().with_system(archsim::SystemConfig::scaled(2));
-        let a = HygraRuntime.execute(&g, &MinLabel, &cfg);
-        let b = ChGraphRuntime::new().execute(&g, &MinLabel, &cfg);
+        let a = System::Hygra.execute(&g, &MinLabel, &cfg);
+        let b = System::ChGraph.execute(&g, &MinLabel, &cfg);
         prop_assert_eq!(a.state.vertex_value, b.state.vertex_value);
         prop_assert_eq!(a.state.hyperedge_value, b.state.hyperedge_value);
     }

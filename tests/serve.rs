@@ -90,9 +90,8 @@ fn second_identical_request_hits_the_lru_with_identical_result() {
     // same config knobs, no daemon, no cache.
     let g = chg_bench::load_scaled(Dataset::LiveJournal, chg_bench::Scale(SCALE));
     let cfg = chgraph::RunConfig::new().with_oag_build_threads(1).with_max_iterations(4);
-    let direct =
-        try_run_workload_prepared(Workload::Pr, &chgraph::ChGraphRuntime::new(), &g, &cfg, None)
-            .expect("direct run");
+    let direct = try_run_workload_prepared(Workload::Pr, &chgraph::System::ChGraph, &g, &cfg, None)
+        .expect("direct run");
     assert_eq!(
         first.fingerprint,
         format!("{:016x}", fingerprint_report(&direct)),
