@@ -1106,12 +1106,33 @@ mod tests {
         assert!(out.core_busy_cycles > 0);
     }
 
+    /// One all-active iteration with the sparse fallback off walks every
+    /// element of both sides once: the CP delivers one tuple per bipartite
+    /// edge per phase, and the HCG generates exactly the chains of the pure
+    /// chain walk over each core's chunk.
     #[test]
     fn chgraph_uses_engine_and_delivers_tuples() {
         let g = small_graph();
-        let out = run_mode(&g, System::ChGraph);
-        assert!(out.engine.tuples_delivered > 0);
-        assert!(out.engine.chains_generated > 0);
+        let mut cfg = RunConfig::new().with_system(tiny_system());
+        cfg.sparse_chain_divisor = 0;
+        let h_oag = OagConfig::new().with_w_min(1).build(&g, Side::Hyperedge);
+        let v_oag = OagConfig::new().with_w_min(1).build(&g, Side::Vertex);
+        let algo = crate::testutil::PrLike { iterations: 1 };
+        let out = Driver::try_new(&g, &algo, &cfg, System::ChGraph, Some(&h_oag), Some(&v_oag))
+            .unwrap()
+            .try_run()
+            .unwrap();
+        assert_eq!(out.engine.tuples_delivered, 2 * g.num_bipartite_edges() as u64);
+        let mut chains = 0;
+        for (side, oag) in [(Side::Vertex, &v_oag), (Side::Hyperedge, &h_oag)] {
+            assert!(oag.num_edge_entries() >= oag.len(), "{side:?} OAG must not be degenerate");
+            let frontier = Frontier::full(g.num_on(side));
+            for chunk in partition(&g, side, cfg.system.num_cores) {
+                let range = chunk.first..chunk.last;
+                chains += oag::generate_chains(oag, &frontier, range, &cfg.chain).num_chains();
+            }
+        }
+        assert_eq!(out.engine.chains_generated, chains as u64);
         assert!(out.engine.hcg_cycles > 0);
     }
 

@@ -87,13 +87,11 @@ impl fmt::Display for Budget {
 /// partial statistics a caller can still report for an aborted run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ExecProgress {
-    /// Completed iterations of the outer procedure (or elements processed,
-    /// for engine-model phases).
+    /// Completed iterations of the outer procedure.
     pub iterations: usize,
     /// Simulated cycles elapsed so far.
     pub cycles: u64,
-    /// Active elements in the most recent frontier (or queue entries, for
-    /// engine-model phases).
+    /// Active elements in the most recent frontier.
     pub frontier_len: usize,
 }
 

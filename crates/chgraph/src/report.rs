@@ -18,7 +18,8 @@ pub struct EngineReport {
     pub chains_generated: u64,
     /// Cycles the engine stalled on a full bipartite-edge FIFO.
     pub fifo_full_stalls: u64,
-    /// Cycles the core stalled waiting for the FIFO to fill.
+    /// Cycles the CP waited for the chain generator (the HCG, or HATS-V's
+    /// traversal scheduler) to emit its next element into the chain FIFO.
     pub fifo_empty_stalls: u64,
 }
 

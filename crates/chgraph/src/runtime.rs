@@ -15,7 +15,10 @@ pub struct RunConfig {
     pub chain: ChainConfig,
     /// Overrides the algorithm's iteration bound when set.
     pub max_iterations: Option<usize>,
-    /// Capacity of the chain FIFO and the bipartite-edge FIFO (paper: 32).
+    /// Capacity of the bipartite-edge FIFO in tuples (paper: 32): the CP runs
+    /// at most this many tuples ahead of the core. The chain FIFO is not
+    /// bounded in the simulation; the HCG emits a whole chunk's schedule
+    /// ahead of the CP.
     pub fifo_capacity: usize,
     /// Effective memory-level parallelism of the ChGraph engine's pipelined,
     /// decoupled accesses (deeper than the core's OOO window).
@@ -53,7 +56,7 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// Default configuration: the scaled 16-core machine, `W_min = 3`,
-    /// `D_max = 16`, 32-entry FIFOs.
+    /// `D_max = 16`, a 32-entry bipartite-edge FIFO.
     pub fn new() -> Self {
         RunConfig {
             system: SystemConfig::scaled16(),

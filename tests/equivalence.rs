@@ -110,3 +110,44 @@ fn chain_parameters_do_not_change_results() {
         }
     }
 }
+
+/// Memory traffic is a function of graph, algorithm, schedule and cache
+/// geometry, never of timing: the machine's clock only feeds DRAM latency,
+/// and the driver interleaves cores round-robin by element, not by time.
+/// Scaling every latency 2–7x, serialising every core and engine access
+/// (MLP 1) and shrinking the bipartite-edge FIFO to one tuple must move
+/// cycles and leave every `MemStats` counter — hits per region and level,
+/// writebacks, invalidations — bit-identical, for every system and both
+/// L3 inclusion policies.
+#[test]
+fn latencies_never_change_memory_traffic() {
+    let g =
+        chg_bench::load_scaled(hypergraph::datasets::Dataset::LiveJournal, chg_bench::Scale(0.05));
+    for inclusive in [false, true] {
+        let mut fast = archsim::SystemConfig::scaled16();
+        fast.l3_inclusive = inclusive;
+        let mut slow = fast;
+        slow.l1.latency *= 2;
+        slow.l2.latency *= 3;
+        slow.l3.latency *= 5;
+        slow.noc.router_latency *= 4;
+        slow.noc.link_latency *= 3;
+        slow.dram.base_latency *= 7;
+        slow.dram.cycles_per_line *= 2;
+        slow.coherence_latency *= 6;
+        slow.mlp = 1;
+        let fast_cfg = RunConfig::new().with_system(fast).with_max_iterations(3);
+        let mut slow_cfg = RunConfig::new().with_system(slow).with_max_iterations(3);
+        slow_cfg.engine_mlp = 1;
+        slow_cfg.fifo_capacity = 1;
+        for w in [Workload::Pr, Workload::Bfs] {
+            for sys in System::ALL {
+                let ctx = format!("{w} under {}, inclusive L3 {inclusive}", sys.name());
+                let a = run(w, sys, &g, &fast_cfg);
+                let b = run(w, sys, &g, &slow_cfg);
+                assert_eq!(a.mem, b.mem, "{ctx}: memory traffic moved with timing");
+                assert_ne!(a.cycles, b.cycles, "{ctx}: the slow machine must change timing");
+            }
+        }
+    }
+}
