@@ -1,6 +1,6 @@
 //! Blocking client for the serve protocol, shared by `chgraph-cli submit`,
-//! `serve-stats`, the load generator, and the end-to-end tests — one codec,
-//! no drift between producers.
+//! `serve-stats`, the benchmark's `serve` workload, and the end-to-end
+//! tests — one codec, no drift between producers.
 //!
 //! # Resilience
 //!
@@ -275,15 +275,9 @@ impl RetryPolicy {
     pub fn with_attempts(max_attempts: u32) -> Self {
         RetryPolicy { max_attempts: max_attempts.max(1), ..RetryPolicy::default() }
     }
-
-    /// Same policy, different jitter seed.
-    pub fn with_seed(self, seed: u64) -> Self {
-        RetryPolicy { seed, ..self }
-    }
 }
 
-/// A successful [`Client::run_with_retry`], with the retry telemetry the
-/// bench harness records.
+/// A successful [`Client::run_with_retry`], with its retry telemetry.
 #[derive(Debug)]
 pub struct RetryOutcome {
     /// The run result from the attempt that succeeded.

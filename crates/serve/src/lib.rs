@@ -35,7 +35,7 @@
 //! Module map: [`proto`] wire format and request/response schema, [`json`]
 //! the std-only JSON codec under it, [`stats`] counters and latency
 //! histograms, [`server`] the daemon core, [`client`] the blocking client
-//! shared by the CLI, the load generator, and tests, [`chaos`] the seeded
+//! shared by the CLI, the benchmark, and tests, [`chaos`] the seeded
 //! fault-injection proxy the resilience tests drive.
 //!
 //! [`WatchdogConfig`]: chgraph::WatchdogConfig

@@ -1,7 +1,7 @@
 //! Wire protocol of the serve layer: checksummed length-prefixed JSON
 //! frames, and the request/response schema shared by the daemon
 //! (`chgraphd`), the CLI client (`chgraph-cli submit` / `serve-stats`), the
-//! load generator (`serve-bench`) and `chgraph-cli run --json`.
+//! benchmark's `serve` workload and `chgraph-cli run --json`.
 //!
 //! # Framing
 //!

@@ -6,79 +6,56 @@
 //! cargo run --release --example preprocessing_cache
 //! ```
 
-use chgraph::{PreparedOags, RunConfig, System};
+use chg_bench::{ArtifactStore, PreprocessCache, Scale};
+use chgraph::{RunConfig, System};
 use hyperalgos::{try_run_workload_prepared, Workload};
-use hypergraph::{Hypergraph, Side};
-use oag::{Oag, OagConfig};
-use std::io::BufReader;
+use hypergraph::datasets::Dataset;
+use std::sync::Arc;
 use std::time::Instant;
 
-fn cache_dir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("chgraph-cache");
-    std::fs::create_dir_all(&dir).expect("create cache dir");
-    dir
-}
-
-fn preprocess_and_cache() -> (Hypergraph, Oag, Oag, std::time::Duration) {
-    let t0 = Instant::now();
-    let g = hypergraph::datasets::Dataset::LiveJournal.load();
-    let h_oag = OagConfig::new().build(&g, Side::Hyperedge);
-    let v_oag = OagConfig::new().build(&g, Side::Vertex);
-    let took = t0.elapsed();
-    let dir = cache_dir();
-    hypergraph::io::write_binary(&g, std::fs::File::create(dir.join("lj.chg")).unwrap())
-        .expect("write hypergraph");
-    oag::io::write_binary(&h_oag, std::fs::File::create(dir.join("lj.hoag")).unwrap())
-        .expect("write H-OAG");
-    oag::io::write_binary(&v_oag, std::fs::File::create(dir.join("lj.voag")).unwrap())
-        .expect("write V-OAG");
-    (g, h_oag, v_oag, took)
-}
-
-fn load_cached() -> (Hypergraph, Oag, Oag, std::time::Duration) {
-    let dir = cache_dir();
-    let t0 = Instant::now();
-    let g = hypergraph::io::read_binary(BufReader::new(
-        std::fs::File::open(dir.join("lj.chg")).unwrap(),
-    ))
-    .expect("read hypergraph");
-    let h_oag =
-        oag::io::read_binary(BufReader::new(std::fs::File::open(dir.join("lj.hoag")).unwrap()))
-            .expect("read H-OAG");
-    let v_oag =
-        oag::io::read_binary(BufReader::new(std::fs::File::open(dir.join("lj.voag")).unwrap()))
-            .expect("read V-OAG");
-    (g, h_oag, v_oag, t0.elapsed())
-}
-
 fn main() {
-    let (g, h_oag, v_oag, build_time) = preprocess_and_cache();
+    let dir = std::env::temp_dir().join("chgraph-cache");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = Arc::new(PreprocessCache::new(&dir).expect("create cache dir"));
+    let cfg = RunConfig::new();
+
+    // A fresh store (cold memory) over the shared disk cache.
+    let prepare_in_fresh_store = || {
+        let t0 = Instant::now();
+        let store = ArtifactStore::new(1, 1, Some(cache.clone()));
+        let (g, prepared, _) = store.prepared(Dataset::LiveJournal, Scale::FULL, &cfg);
+        (g, prepared, t0.elapsed())
+    };
+
+    // The first store builds the graph and both OAGs and persists them.
+    let (g, built, build_time) = prepare_in_fresh_store();
     println!(
         "preprocessed LiveJournal stand-in in {build_time:?}: {} hyperedges, \
          H-OAG {} edges, V-OAG {} edges",
         g.num_hyperedges(),
-        h_oag.num_edge_entries(),
-        v_oag.num_edge_entries()
+        built.hyperedge.num_edge_entries(),
+        built.vertex.num_edge_entries()
     );
 
-    let (g2, h2, v2, load_time) = load_cached();
+    // The second restores all three, with build stats, from the disk cache.
+    let (g2, prepared, load_time) = prepare_in_fresh_store();
     assert_eq!(g, g2);
-    assert_eq!(h_oag, h2);
-    assert_eq!(v_oag, v2);
+    assert_eq!(built.hyperedge, prepared.hyperedge);
+    assert_eq!(built.vertex, prepared.vertex);
+    assert_eq!(built.report, prepared.report);
     println!(
         "reloaded all three artifacts from the binary cache in {load_time:?} \
          ({:.0}x faster than rebuilding)",
         build_time.as_secs_f64() / load_time.as_secs_f64().max(1e-9)
     );
+    println!("{}", cache.summary());
 
     // One preprocessing, many algorithms (the paper's amortization claim):
-    // the OAGs are built once here and shared by every execution below.
-    let cfg = RunConfig::new();
-    let prepared = PreparedOags::build(&g2, &cfg);
+    // every execution below shares the restored OAGs.
     println!("\nrunning the whole workload suite against the cached input:");
     for w in Workload::HYPERGRAPH {
         let t0 = Instant::now();
-        let r = try_run_workload_prepared(w, &System::ChGraph, &g2, &cfg, Some(&prepared))
+        let r = try_run_workload_prepared(w, &System::ChGraph, &g2, &cfg, Some(&*prepared))
             .unwrap_or_else(|e| panic!("{w}: {e}"));
         println!(
             "  {:<7} {:>12} simulated cycles, {:>9} DRAM accesses  (host {:?})",

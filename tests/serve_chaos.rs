@@ -8,9 +8,12 @@
 //! while the cache converges back to a residue-free state.
 //!
 //! Determinism discipline: the fault schedule is a pure function of
-//! (seed, connection index), requests run sequentially so connection
-//! indices are reproducible, and the CI workflow runs this suite twice to
-//! enforce run-to-run equality of the assertions below.
+//! (seed, connection index). The schedule-determinism test runs its
+//! requests sequentially so connection indices are reproducible; the
+//! survival test drives two concurrent clients, whose connections race for
+//! those indices, so it asserts only facts that hold under any accept
+//! order. The CI workflow runs this suite twice to enforce run-to-run
+//! equality of the assertions below.
 
 use chg_serve::{
     plan_for, ChaosPolicy, ChaosProxy, Client, ErrorClass, RetryPolicy, RunRequest, ServeConfig,
@@ -126,25 +129,38 @@ fn retrying_client_survives_chaos_with_identical_results() {
     let mut proxy = ChaosProxy::spawn(upstream, ChaosPolicy::new(41, 0.4)).expect("proxy");
     let addr = proxy.addr();
 
-    let mut total_attempts = 0;
-    for i in 0..10u64 {
-        let mut req = base_request();
-        req.request_key = Some(format!("chaos-res-{i}"));
-        let policy = RetryPolicy {
-            max_attempts: 12,
-            base: Duration::from_millis(5),
-            cap: Duration::from_millis(50),
-            overall_deadline: Duration::from_secs(60),
-            seed: 97 ^ i,
-        };
-        let outcome = Client::run_with_retry(addr, req, policy)
-            .unwrap_or_else(|e| panic!("request {i} must survive chaos, got {e}"));
-        assert_eq!(
-            outcome.result.fingerprint, reference,
-            "request {i}: a retried result must be bit-identical to the fault-free run"
-        );
-        total_attempts += outcome.attempts;
-    }
+    // Two concurrent clients, five keyed requests each: they race for the
+    // proxy's accept order, so which request meets which fault varies run to
+    // run, and every assertion below holds under any interleaving. The
+    // barrier makes both start together.
+    let start_together = std::sync::Barrier::new(2);
+    let client = |first: u64| {
+        start_together.wait();
+        let mut attempts = 0;
+        for i in first..first + 5 {
+            let mut req = base_request();
+            req.request_key = Some(format!("chaos-res-{i}"));
+            let policy = RetryPolicy {
+                max_attempts: 12,
+                base: Duration::from_millis(5),
+                cap: Duration::from_millis(50),
+                overall_deadline: Duration::from_secs(60),
+                seed: 97 ^ i,
+            };
+            let outcome = Client::run_with_retry(addr, req, policy)
+                .unwrap_or_else(|e| panic!("request {i} must survive chaos, got {e}"));
+            assert_eq!(
+                outcome.result.fingerprint, reference,
+                "request {i}: a retried result must be bit-identical to the fault-free run"
+            );
+            attempts += outcome.attempts;
+        }
+        attempts
+    };
+    let total_attempts: u32 = std::thread::scope(|s| {
+        let clients = [s.spawn(|| client(0)), s.spawn(|| client(5))];
+        clients.map(|c| c.join().expect("client thread")).iter().sum()
+    });
     assert!(
         total_attempts > 10,
         "40% error rate over 10 requests must force at least one retry (attempts: {total_attempts})"
