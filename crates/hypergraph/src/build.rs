@@ -38,6 +38,13 @@ impl Error for BuildHypergraphError {}
 /// is either incident to a hyperedge or not); the first occurrence's position
 /// is kept so incidence-list order stays deterministic.
 ///
+/// The builder holds the hyperedge-side CSR arrays themselves: each
+/// hyperedge is deduplicated straight onto the end of one flat incidence
+/// array, a rejected hyperedge is truncated away again, and
+/// [`HypergraphBuilder::build`] wraps the arrays without copying them. No
+/// per-hyperedge allocation is made; [`HypergraphBuilder::with_capacity`]
+/// sizes both arrays up front when the caller knows the totals.
+///
 /// ```
 /// use hypergraph::{HypergraphBuilder, VertexId};
 /// let mut b = HypergraphBuilder::new(3);
@@ -49,7 +56,12 @@ impl Error for BuildHypergraphError {}
 #[derive(Clone, Debug)]
 pub struct HypergraphBuilder {
     num_vertices: usize,
-    hyperedges: Vec<Vec<u32>>,
+    /// Hyperedge-side CSR offsets: `offsets[h]..offsets[h + 1]` is
+    /// hyperedge `h`'s slice of `targets`.
+    offsets: Vec<u32>,
+    /// Hyperedge-side CSR targets: every accepted hyperedge's deduplicated
+    /// vertices, back to back.
+    targets: Vec<u32>,
     seen: Vec<u32>,
     stamp: u32,
 }
@@ -57,9 +69,19 @@ pub struct HypergraphBuilder {
 impl HypergraphBuilder {
     /// Creates a builder for a hypergraph over `num_vertices` vertices.
     pub fn new(num_vertices: usize) -> Self {
+        HypergraphBuilder::with_capacity(num_vertices, 0, 0)
+    }
+
+    /// Creates a builder with room for `hyperedges` hyperedges holding
+    /// `incidences` vertices in total (before deduplication), so adding
+    /// them never reallocates.
+    pub fn with_capacity(num_vertices: usize, hyperedges: usize, incidences: usize) -> Self {
+        let mut offsets = Vec::with_capacity(hyperedges + 1);
+        offsets.push(0);
         HypergraphBuilder {
             num_vertices,
-            hyperedges: Vec::new(),
+            offsets,
+            targets: Vec::with_capacity(incidences),
             seen: vec![0; num_vertices],
             stamp: 0,
         }
@@ -72,7 +94,7 @@ impl HypergraphBuilder {
 
     /// Number of hyperedges added so far.
     pub fn num_hyperedges(&self) -> usize {
-        self.hyperedges.len()
+        self.offsets.len() - 1
     }
 
     /// Appends a hyperedge incident to `vertices`.
@@ -84,15 +106,17 @@ impl HypergraphBuilder {
     ///
     /// Returns [`BuildHypergraphError::VertexOutOfRange`] if any vertex id is
     /// out of range, and [`BuildHypergraphError::EmptyHyperedge`] if the
-    /// deduplicated vertex list is empty.
+    /// deduplicated vertex list is empty. A rejected hyperedge leaves the
+    /// builder as it was: none of its vertices are kept and it takes no id.
     pub fn add_hyperedge<I>(&mut self, vertices: I) -> Result<(), BuildHypergraphError>
     where
         I: IntoIterator<Item = VertexId>,
     {
         self.stamp += 1;
-        let mut row = Vec::new();
+        let start = self.targets.len();
         for v in vertices {
             if v.index() >= self.num_vertices {
+                self.targets.truncate(start);
                 return Err(BuildHypergraphError::VertexOutOfRange {
                     vertex: v,
                     num_vertices: self.num_vertices,
@@ -100,19 +124,25 @@ impl HypergraphBuilder {
             }
             if self.seen[v.index()] != self.stamp {
                 self.seen[v.index()] = self.stamp;
-                row.push(v.raw());
+                self.targets.push(v.raw());
             }
         }
-        if row.is_empty() {
+        if self.targets.len() == start {
             return Err(BuildHypergraphError::EmptyHyperedge);
         }
-        self.hyperedges.push(row);
+        // invariant: ids are u32, so a structurally valid CSR cannot exceed
+        // u32::MAX targets; overflow means the caller built an impossible
+        // graph and nothing downstream could represent it.
+        self.offsets
+            .push(u32::try_from(self.targets.len()).expect("CSR exceeds u32 edge capacity"));
         Ok(())
     }
 
     /// Finishes construction, producing both CSR sides.
     pub fn build(self) -> Hypergraph {
-        let hyperedge_csr = Csr::from_adjacency(self.hyperedges);
+        // Free the dedup stamps before the transpose allocates the vertex side.
+        drop(self.seen);
+        let hyperedge_csr = Csr::from_raw(self.offsets, self.targets);
         let vertex_csr = hyperedge_csr.transpose(self.num_vertices);
         Hypergraph::from_csr(hyperedge_csr, vertex_csr)
     }
@@ -168,6 +198,24 @@ mod tests {
         let g = b.build();
         // v0 must be incident to both hyperedges.
         assert_eq!(g.vertex_degree(VertexId::new(0)), 2);
+    }
+
+    #[test]
+    fn failed_add_after_valid_vertices_leaves_no_partial_row() {
+        let mut b = HypergraphBuilder::new(3);
+        let err = b.add_hyperedge([0, 1, 9].map(VertexId::new)).unwrap_err();
+        assert_eq!(
+            err,
+            BuildHypergraphError::VertexOutOfRange { vertex: VertexId::new(9), num_vertices: 3 }
+        );
+        assert_eq!(b.num_hyperedges(), 0);
+        // v1 was stamped by the rejected row; it must still be taken here.
+        b.add_hyperedge([2, 1].map(VertexId::new)).unwrap();
+        let g = b.build();
+        assert_eq!(g.num_hyperedges(), 1);
+        assert_eq!(g.incident_vertices(HyperedgeId::new(0)), &[2, 1]);
+        assert_eq!(g.num_bipartite_edges(), 2);
+        assert_eq!(g.vertex_degree(VertexId::new(0)), 0);
     }
 
     #[test]

@@ -159,12 +159,20 @@ impl GeneratorConfig {
             "vertex pool smaller than a maximal hyperedge"
         );
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        // (vertex-window id, members): hyperedges are later grouped by the
-        // vertex region they were discovered with.
-        let mut hyperedges: Vec<(u32, Vec<u32>)> = Vec::with_capacity(self.num_hyperedges);
-        let mut template: Vec<u32> = Vec::new();
+        // Each family's template is stored once, back to back in
+        // `templates`; a hyperedge is a `Member` record naming a prefix of
+        // its template, plus its own `noise_vertices` ids in `noise`. No
+        // per-hyperedge row is ever allocated.
+        let mut templates: Vec<u32> = Vec::new();
+        let mut noise: Vec<u32> = Vec::with_capacity(self.num_hyperedges * self.noise_vertices);
+        let mut members: Vec<Member> = Vec::with_capacity(self.num_hyperedges);
+        let mut incidences = 0usize;
         let mut in_template = vec![false; self.num_vertices];
-        while hyperedges.len() < self.num_hyperedges {
+        // invariant: hyperedge ids and CSR offsets are u32, so a graph
+        // that can be built has every draw index, template offset and
+        // prefix length within u32.
+        let fits = |x: usize| u32::try_from(x).expect("generated graph exceeds u32 ids");
+        while members.len() < self.num_hyperedges {
             // Draw this family's template: `tsize` distinct vertices.
             let tsize = sample_truncated_power_law(
                 self.template_min,
@@ -188,12 +196,12 @@ impl GeneratorConfig {
             // order.
             let nwin = (self.num_vertices / span).max(1) as u32;
             let base = span as u32 * rng.gen_range(0..nwin);
-            template.clear();
-            while template.len() < tsize {
+            let template_start = templates.len();
+            while templates.len() - template_start < tsize {
                 let v = base + rng.gen_range(0..span as u32);
                 if !in_template[v as usize] {
                     in_template[v as usize] = true;
-                    template.push(v);
+                    templates.push(v);
                 }
             }
             // Family size ~ truncated power law: heavy-tailed, so large
@@ -204,7 +212,7 @@ impl GeneratorConfig {
                 self.family_exponent,
                 &mut rng,
             )
-            .min(self.num_hyperedges - hyperedges.len());
+            .min(self.num_hyperedges - members.len());
             for _ in 0..fsize {
                 // Members keep a *prefix* of the template: families have a
                 // shared core plus optional extras (nested, like tracker
@@ -214,7 +222,6 @@ impl GeneratorConfig {
                 // like and what the OAG's W_min threshold keys on.
                 let frac = rng.gen_range(self.member_prob..=1.0);
                 let keep = ((tsize as f64 * frac).round() as usize).clamp(2, tsize);
-                let mut members: Vec<u32> = template[..keep].to_vec();
                 for _ in 0..self.noise_vertices {
                     // Noise is window-local too (incidental co-occurrences
                     // happen between co-discovered entities): collisions
@@ -222,11 +229,17 @@ impl GeneratorConfig {
                     // depth-2..3 sharing of Fig. 8's k = 2 level without
                     // creating chain structure, and writes to a cache line
                     // stay with the line's owning chunk/core.
-                    members.push(base + rng.gen_range(0..span as u32));
+                    noise.push(base + rng.gen_range(0..span as u32));
                 }
-                hyperedges.push((base, members));
+                members.push(Member {
+                    window: base,
+                    template: fits(template_start),
+                    keep: fits(keep),
+                    draw: fits(members.len()),
+                });
+                incidences += keep + self.noise_vertices;
             }
-            for &v in &template {
+            for &v in &templates[template_start..] {
                 in_template[v as usize] = false;
             }
         }
@@ -238,38 +251,59 @@ impl GeneratorConfig {
         // every cache line of values its hyperedges update — stays inside
         // one processing chunk, as with real partitioned inputs. The
         // `shuffle_window` cap bounds the mixing radius for very large
-        // groups.
-        hyperedges.sort_by_key(|(win, _)| *win);
+        // groups. Draw indices are unique, so the in-place unstable sort
+        // by (window, draw) is the stable sort by window.
+        members.sort_unstable_by_key(|m| (m.window, m.draw));
         let window = if self.shuffle_window == 0 {
             (self.num_hyperedges / 32).max(512)
         } else {
             self.shuffle_window
         };
-        let n = hyperedges.len();
+        let n = members.len();
         let mut start = 0usize;
         while start < n {
-            let win = hyperedges[start].0;
+            let win = members[start].window;
             let mut end = start;
-            while end < n && hyperedges[end].0 == win && end - start < window {
+            while end < n && members[end].window == win && end - start < window {
                 end += 1;
             }
             for i in (start + 1..end).rev() {
                 let j = rng.gen_range(start..=i);
-                hyperedges.swap(i, j);
+                members.swap(i, j);
             }
             start = end;
         }
-        let mut builder = HypergraphBuilder::new(self.num_vertices);
-        for (_, members) in hyperedges {
+        let mut builder =
+            HypergraphBuilder::with_capacity(self.num_vertices, self.num_hyperedges, incidences);
+        for m in &members {
+            let kept = &templates[m.template as usize..][..m.keep as usize];
+            let draw = m.draw as usize * self.noise_vertices;
+            let extra = &noise[draw..draw + self.noise_vertices];
             builder
-                .add_hyperedge(members.into_iter().map(VertexId::new))
+                .add_hyperedge(kept.iter().chain(extra).map(|&v| VertexId::new(v)))
                 // invariant: the generator samples non-empty member sets
                 // with ids below self.num_vertices, the only two ways
                 // add_hyperedge can fail.
                 .expect("generated hyperedge is valid");
         }
+        // Free the records before the transpose allocates the vertex side.
+        drop((members, noise, templates, in_template));
         builder.build()
     }
+}
+
+/// One generated hyperedge: the kept prefix of its family's template plus
+/// its noise vertices, in 16 bytes.
+#[derive(Clone, Copy)]
+struct Member {
+    /// First vertex id of the family's discovery window (the sort key).
+    window: u32,
+    /// Offset of the family's template in the generator's `templates`.
+    template: u32,
+    /// Length of the kept template prefix.
+    keep: u32,
+    /// Draw order: indexes this hyperedge's noise ids and breaks sort ties.
+    draw: u32,
 }
 
 /// Samples from a truncated discrete power law on `[min, max]`.

@@ -12,7 +12,9 @@
 //! assert the outputs — including full observer event streams and
 //! statistics — are bit-identical, undirected and directed, so the
 //! committed `BENCH_hotpath.json` speedups are speedups of *the same
-//! function*, not of a subtly different one.
+//! function*, not of a subtly different one. The simulator and the
+//! dataset generator are pinned whole, by golden fingerprints and golden
+//! CSR digests recorded before their rewrites.
 
 use hypergraph::directed::DirectedHypergraphBuilder;
 use hypergraph::{Frontier, Hypergraph, HypergraphBuilder, Side, VertexId};
@@ -334,4 +336,93 @@ fn simulated_results_match_golden_fingerprints() {
         full_stalls[0] >= full_stalls[1] && full_stalls[1] >= full_stalls[2],
         "FIFO-full stalls must not grow with depth (1, 32, never full): {full_stalls:?}"
     );
+}
+
+/// FNV-1a digest of both CSR sides of `g` (offsets then targets, hyperedge
+/// side first), as little-endian bytes.
+fn graph_digest(g: &Hypergraph) -> u64 {
+    let mut h = hypergraph::checksum::Fnv64::new();
+    for side in [Side::Hyperedge, Side::Vertex] {
+        let csr = g.csr_for(side);
+        for arr in [csr.offsets(), csr.targets()] {
+            for x in arr {
+                h.update(&x.to_le_bytes());
+            }
+        }
+    }
+    h.digest()
+}
+
+/// The family-model generator is pinned bit for bit: every dataset at its
+/// own seed, at two other seeds, and at the daemon's serve scales 0.05 and
+/// 0.03. The digests were recorded before the generator stopped building
+/// one heap row per hyperedge; any change to a graph here changes every
+/// figure, fingerprint and BENCH number downstream.
+#[test]
+fn generated_graphs_match_golden_hashes() {
+    use hypergraph::datasets::Dataset;
+
+    // Per dataset: own seed, seed 1, seed 0xBEEF, scale 0.05, scale 0.03.
+    let golden: [(Dataset, [u64; 5]); 5] = [
+        (
+            Dataset::Friendster,
+            [
+                0x8403_0af9_4302_1082,
+                0xc463_3233_1fb5_b3ac,
+                0x154d_9927_d6b0_6239,
+                0xbd08_fec2_4b58_caa7,
+                0x646d_c93f_103e_7b97,
+            ],
+        ),
+        (
+            Dataset::ComOrkut,
+            [
+                0xefb6_a331_09b7_2c93,
+                0x37a5_e8cb_16db_68bd,
+                0x69a2_1cff_f4f8_ee57,
+                0x6307_4770_d943_cf97,
+                0xaeb3_171b_98eb_4708,
+            ],
+        ),
+        (
+            Dataset::LiveJournal,
+            [
+                0x2607_7e3c_33df_6e35,
+                0x27ac_d55f_12f4_6620,
+                0x6d82_ed66_c948_51a3,
+                0x4eaf_6f13_4225_594e,
+                0x9635_7d16_294c_bdde,
+            ],
+        ),
+        (
+            Dataset::WebTrackers,
+            [
+                0xbe63_de34_05e5_eabe,
+                0x81f6_17d3_eb35_4c01,
+                0x7e6e_212f_54e3_6ee0,
+                0x2950_593d_ac5d_2aeb,
+                0x3f4e_b6bf_3a4e_5c9a,
+            ],
+        ),
+        (
+            Dataset::OrkutGroup,
+            [
+                0x9125_4cdf_f78a_cc4b,
+                0xb80f_f409_b78b_52ec,
+                0x9b7f_22a2_4cac_5e3f,
+                0x9a67_cec3_1668_b5f0,
+                0xc3aa_b146_5521_e6e4,
+            ],
+        ),
+    ];
+    for (ds, want) in golden {
+        let got = [
+            graph_digest(&ds.load()),
+            graph_digest(&ds.config().with_seed(1).generate()),
+            graph_digest(&ds.config().with_seed(0xBEEF).generate()),
+            graph_digest(&chg_bench::load_scaled(ds, chg_bench::Scale(0.05))),
+            graph_digest(&chg_bench::load_scaled(ds, chg_bench::Scale(0.03))),
+        ];
+        assert_eq!(got, want, "{ds}: (own seed, seed 1, seed 0xBEEF, scale 0.05, scale 0.03)");
+    }
 }

@@ -268,6 +268,26 @@ fn spawn_daemon(addr: &str, cache_dir: &Path) -> (Child, SocketAddr) {
     (child, local)
 }
 
+/// A loopback port that is free now and lies below the kernel's ephemeral
+/// range (read from `/proc/sys/net/ipv4/ip_local_port_range` when present,
+/// else Linux's default start, 32768), so no outgoing connection or
+/// port-0 bind is ever assigned it. The search starts at a pid-derived
+/// offset so concurrent runs of the suite probe different ports. Falls
+/// back to 0 (an ephemeral port) only if no such port is free.
+fn free_port_below_ephemeral_range() -> u16 {
+    const FIRST_UNPRIVILEGED: u16 = 1024;
+    let ephemeral_start = std::fs::read_to_string("/proc/sys/net/ipv4/ip_local_port_range")
+        .ok()
+        .and_then(|range| range.split_whitespace().next()?.parse::<u16>().ok())
+        .unwrap_or(32768);
+    let span = u32::from(ephemeral_start.saturating_sub(FIRST_UNPRIVILEGED));
+    let offset = std::process::id() % span.max(1);
+    (0..span)
+        .map(|i| FIRST_UNPRIVILEGED + ((offset + i) % span) as u16)
+        .find(|&port| TcpListener::bind(("127.0.0.1", port)).is_ok())
+        .unwrap_or(0)
+}
+
 /// Cache residue of the kinds crash recovery must clean up.
 fn cache_residue(dir: &Path) -> Vec<String> {
     let mut residue = Vec::new();
@@ -288,7 +308,12 @@ fn sigkill_recovery_preserves_results_and_heals_the_cache() {
     let _ = std::fs::remove_dir_all(&cache_dir);
     std::fs::create_dir_all(&cache_dir).expect("create cache dir");
 
-    let (mut child, addr) = spawn_daemon("127.0.0.1:0", &cache_dir);
+    // The restart below reclaims this port while the retrying client is
+    // connecting to it with nothing listening. An ephemeral port could be
+    // taken in that gap by a TCP self-connect of the client or by any other
+    // socket's ephemeral bind; a port below the ephemeral range cannot.
+    let port = free_port_below_ephemeral_range();
+    let (mut child, addr) = spawn_daemon(&format!("127.0.0.1:{port}"), &cache_dir);
 
     // Reference result from the first daemon life; this also populates the
     // on-disk cache with the prepared artifacts.
