@@ -36,12 +36,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
 
 const OAG_ENTRY_MAGIC: &[u8; 4] = b"CHGC";
-/// Entry version written by [`PreprocessCache::store_oag`]: v2 appends a
-/// trailing FNV-1a checksum over the whole entry (covering the stats
-/// prefix, which the inner OAG blob's own checksum does not). v1 entries
-/// (no entry checksum, v1 inner blob) remain readable.
+/// The only entry version [`PreprocessCache::store_oag`] writes and the
+/// cache reads: v2 appends a trailing FNV-1a checksum over the whole entry
+/// (covering the stats prefix, which the inner OAG blob's own checksum
+/// does not). An entry of any other version is corrupt.
 const OAG_ENTRY_VERSION: u32 = 2;
-const OAG_ENTRY_MIN_VERSION: u32 = 1;
 
 /// Stale `*.tmp.<pid>` files older than this at cache-open time are swept:
 /// they can only be leftovers of a writer that died mid-write (a live
@@ -419,7 +418,7 @@ fn read_oag_entry<R: Read>(r: R) -> io::Result<(Oag, OagBuildStats)> {
     let mut word = [0u8; 4];
     r.read_exact(&mut word)?;
     let version = u32::from_le_bytes(word);
-    if !(OAG_ENTRY_MIN_VERSION..=OAG_ENTRY_VERSION).contains(&version) {
+    if version != OAG_ENTRY_VERSION {
         return Err(bad("unsupported cache entry version"));
     }
     let mut u64_field = || -> io::Result<u64> {
@@ -436,14 +435,12 @@ fn read_oag_entry<R: Read>(r: R) -> io::Result<(Oag, OagBuildStats)> {
     };
     let oag = oag::io::read_binary(&mut r)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    if version >= 2 {
-        let computed = r.digest();
-        let mut trailer = [0u8; 8];
-        r.get_mut().read_exact(&mut trailer)?;
-        let stored = u64::from_le_bytes(trailer);
-        if stored != computed {
-            return Err(bad("cache entry checksum mismatch"));
-        }
+    let computed = r.digest();
+    let mut trailer = [0u8; 8];
+    r.get_mut().read_exact(&mut trailer)?;
+    let stored = u64::from_le_bytes(trailer);
+    if stored != computed {
+        return Err(bad("cache entry checksum mismatch"));
     }
     Ok((oag, stats))
 }

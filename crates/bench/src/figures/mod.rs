@@ -207,10 +207,10 @@ impl Harness {
         self
     }
 
-    /// Sets the worker-thread count used by [`prefetch`](Self::prefetch),
-    /// [`run_batch`](Self::run_batch) and OAG construction (minimum 1).
+    /// Sets the worker-thread count used by [`prefetch`](Self::prefetch)
+    /// and [`run_batch`](Self::run_batch) to fan out cells (minimum 1).
     ///
-    /// Every figure, report and OAG is bit-identical for any value.
+    /// Every figure and report is bit-identical for any value.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -239,11 +239,9 @@ impl Harness {
     }
 
     /// The (cached) pre-built OAG pair for `ds` under the harness
-    /// configuration, shared by every chain-driven cell of the grid and
-    /// built across the harness's worker threads.
+    /// configuration, shared by every chain-driven cell of the grid.
     pub fn prepared(&self, ds: Dataset) -> Arc<PreparedOags> {
-        let cfg = self.cfg.with_oag_build_threads(self.threads);
-        self.store.prepared(ds, self.scale, &cfg).1
+        self.store.prepared(ds, self.scale, &self.cfg).1
     }
 
     /// The (memoized) execution report of `workload` on `ds` under `sys`.

@@ -83,8 +83,8 @@ impl ArtifactStore {
     }
 
     /// The prepared-OAG pair for `(dataset, scale, cfg.oag)`, each side
-    /// from the disk cache or built across `cfg.oag_build_threads`, at most
-    /// once per key. Returns the graph too: executing needs both.
+    /// from the disk cache or built, at most once per key. Returns the
+    /// graph too: executing needs both.
     pub fn prepared(
         &self,
         dataset: Dataset,
@@ -101,8 +101,7 @@ impl ArtifactStore {
                     if let Some(hit) = disk.and_then(|cache| cache.load_oag(&g, &cfg.oag, side)) {
                         return hit;
                     }
-                    let built =
-                        cfg.oag.build_with_stats_threads(&g, side, cfg.oag_build_threads.max(1));
+                    let built = cfg.oag.build_with_stats(&g, side);
                     if let Some(cache) = disk {
                         cache.store_oag(&g, &cfg.oag, side, &built.0, &built.1);
                     }

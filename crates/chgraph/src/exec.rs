@@ -78,6 +78,13 @@ mod cost {
     pub const IDS_PER_LINE: u64 = 16;
 }
 
+/// Run-ahead distance, in elements, of the event-driven prefetcher
+/// baseline (§VI-H).
+const PREFETCH_DISTANCE: usize = 8;
+/// Percentage (0–100) of the prefetcher baseline's value prefetches that
+/// fetch a useless line ("noisy data", §II-C).
+const PREFETCH_NOISE_PCT: u64 = 20;
+
 #[inline]
 fn core_read(m: &mut Machine, t: &mut CoreTimer, core: usize, r: Region, i: u64) {
     let a = m.access(core, r, i, AccessKind::Read, Level::L1, t.now());
@@ -334,7 +341,7 @@ impl<'a> Driver<'a> {
         if prefetch_mode {
             // Warm-up: prefetch the first `distance` elements of each core.
             for (core, schedule) in schedules.iter().enumerate().take(n_cores) {
-                let n = self.cfg.prefetcher_distance.min(schedule.elements.len());
+                let n = PREFETCH_DISTANCE.min(schedule.elements.len());
                 for pos in 0..n {
                     let elem = schedule.elements[pos];
                     self.prefetch_element(core, src, elem, pos);
@@ -359,7 +366,7 @@ impl<'a> Driver<'a> {
                     // Prefetch `distance` elements ahead of the core. Late
                     // prefetches do not stall the core — its demand loads
                     // simply find fewer lines already staged in the L2.
-                    let target = p + self.cfg.prefetcher_distance;
+                    let target = p + PREFETCH_DISTANCE;
                     if target < sched.elements.len() {
                         self.prefetch_element(core, src, sched.elements[target], target);
                     }
@@ -551,9 +558,8 @@ impl<'a> Driver<'a> {
 
     /// The event-driven prefetcher baseline's engine work for one upcoming
     /// element: fetch its offsets, incidence list and destination values
-    /// into the L2, plus a configurable fraction of useless ("noisy")
-    /// fetches. Returns the engine completion time.
-    fn prefetch_element(&mut self, core: usize, src: Side, e: u32, seq: usize) -> u64 {
+    /// into the L2, plus a fixed fraction of useless ("noisy") fetches.
+    fn prefetch_element(&mut self, core: usize, src: Side, e: u32, seq: usize) {
         // (timing note: the engine clock trails the core clock, modelling an
         // event-triggered prefetcher that reacts to core progress.)
         let pr = phase_regions(src);
@@ -573,11 +579,10 @@ impl<'a> Driver<'a> {
             engine_read(m, t, core, pr.dst_value, d as u64);
             // Deterministic pseudo-random noise: some prefetches are wrong.
             let h = (seq as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(j as u64);
-            if (h % 100) < self.cfg.prefetcher_noise_pct as u64 {
+            if (h % 100) < PREFETCH_NOISE_PCT {
                 engine_read(m, t, core, pr.dst_value, h % num_dst);
             }
         }
-        self.cp[core].now()
     }
 
     /// Applies `HF` or `VF` for the bipartite edge `(e, d)`.

@@ -23,12 +23,6 @@ pub struct RunConfig {
     /// Effective memory-level parallelism of the ChGraph engine's pipelined,
     /// decoupled accesses (deeper than the core's OOO window).
     pub engine_mlp: u64,
-    /// Run-ahead distance, in elements, of the event-driven prefetcher
-    /// baseline (§VI-H).
-    pub prefetcher_distance: usize,
-    /// Percentage (0–100) of the prefetcher baseline's value prefetches
-    /// that fetch a useless line ("noisy data", §II-C).
-    pub prefetcher_noise_pct: u8,
     /// Chain-driven runtimes fall back to index order for phases whose
     /// frontier is smaller than `universe / sparse_chain_divisor`: with few
     /// active elements, overlap partners are almost surely inactive, so the
@@ -36,11 +30,6 @@ pub struct RunConfig {
     /// from the previous phase's activation counter, so hardware can make
     /// the same decision. `0` disables the fallback.
     pub sparse_chain_divisor: usize,
-    /// Host worker threads used to *construct* OAGs. This is a build-speed
-    /// knob only: the OAG (and therefore every simulated result) is
-    /// bit-identical for any value — see
-    /// [`OagConfig::build_with_stats_threads`](oag::OagConfig::build_with_stats_threads).
-    pub oag_build_threads: usize,
     /// Execution watchdog budgets (cycles, wall clock, frontier stalls).
     /// The default has no budgets, so nothing ever trips; budgets convert
     /// runaway executions into typed
@@ -65,10 +54,7 @@ impl RunConfig {
             max_iterations: None,
             fifo_capacity: 32,
             engine_mlp: 8,
-            prefetcher_distance: 8,
-            prefetcher_noise_pct: 20,
             sparse_chain_divisor: 12,
-            oag_build_threads: 1,
             watchdog: WatchdogConfig::default(),
             validate: false,
         }
@@ -95,13 +81,6 @@ impl RunConfig {
     /// Caps the number of iterations.
     pub fn with_max_iterations(mut self, n: usize) -> Self {
         self.max_iterations = Some(n);
-        self
-    }
-
-    /// Sets the host thread count for OAG construction (minimum 1). Results
-    /// are bit-identical for any value; only wall-clock changes.
-    pub fn with_oag_build_threads(mut self, threads: usize) -> Self {
-        self.oag_build_threads = threads.max(1);
         self
     }
 
@@ -163,8 +142,8 @@ pub enum System {
     HatsV,
     /// The event-driven programmable prefetcher (Ainsworth & Jones,
     /// ASPLOS'18 style, §VI-H): Hygra's index order, with a hardware
-    /// prefetcher running [`RunConfig::prefetcher_distance`] elements ahead
-    /// of the core and fetching offsets, incidence lists and destination
+    /// prefetcher running a fixed number of elements ahead of the core
+    /// and fetching offsets, incidence lists and destination
     /// values into the L2, plus a fraction of useless fetches. It hides
     /// latency but cannot *reduce* main-memory traffic (Fig. 23).
     Prefetcher,

@@ -27,14 +27,11 @@ pub struct PreparedOags {
 }
 
 impl PreparedOags {
-    /// Builds both OAGs with `cfg.oag` across `cfg.oag_build_threads`
-    /// host threads. Bit-identical for any thread count.
+    /// Builds both OAGs with `cfg.oag`.
     pub fn build(g: &Hypergraph, cfg: &RunConfig) -> Self {
-        let (h_oag, h_stats) =
-            cfg.oag.build_with_stats_threads(g, Side::Hyperedge, cfg.oag_build_threads);
-        let (v_oag, v_stats) =
-            cfg.oag.build_with_stats_threads(g, Side::Vertex, cfg.oag_build_threads);
-        Self::from_parts(g, cfg.oag, (h_oag, h_stats), (v_oag, v_stats))
+        let hyperedge = cfg.oag.build_with_stats(g, Side::Hyperedge);
+        let vertex = cfg.oag.build_with_stats(g, Side::Vertex);
+        Self::from_parts(g, cfg.oag, hyperedge, vertex)
     }
 
     /// Assembles a `PreparedOags` from already-built per-side artifacts

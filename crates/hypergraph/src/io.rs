@@ -185,12 +185,9 @@ pub fn read_text<R: BufRead>(r: R) -> Result<Hypergraph, ReadHypergraphError> {
 
 /// Magic bytes of the binary hypergraph format.
 const BINARY_MAGIC: &[u8; 4] = b"CHGH";
-/// Version written by [`write_binary`]: v2 appends a trailing FNV-1a
-/// checksum over everything before it. [`read_binary`] still accepts the
-/// checksum-less v1.
+/// The only version [`write_binary`] writes and [`read_binary`] accepts:
+/// v2 appends a trailing FNV-1a checksum over everything before it.
 const BINARY_VERSION: u32 = 2;
-/// Oldest version [`read_binary`] accepts.
-const BINARY_MIN_VERSION: u32 = 1;
 /// Upper bound on a deserialized array length. Any real CSR fits well
 /// under this (ids are `u32`); a declared length beyond it can only come
 /// from corruption, so reject before attempting to read terabytes.
@@ -253,10 +250,9 @@ mod hypergraph_side {
     pub const V: u8 = 1;
 }
 
-/// Reads a hypergraph written by [`write_binary`]. Accepts directed
-/// encodings (the two sides need not be transposes) and both format
-/// versions: v2 (current, trailing checksum verified) and the legacy
-/// checksum-less v1.
+/// Reads a hypergraph written by [`write_binary`], verifying its trailing
+/// checksum. Accepts directed encodings (the two sides need not be
+/// transposes).
 ///
 /// Every deserialized offset and id is bounds-validated before the graph
 /// is constructed, so a corrupt file yields a typed error, never a panic
@@ -267,7 +263,7 @@ mod hypergraph_side {
 /// Returns [`ReadHypergraphError::BadHeader`] for wrong magic/version or an
 /// implausible length field, [`ReadHypergraphError::Invalid`] when the
 /// arrays violate a CSR invariant, [`ReadHypergraphError::ChecksumMismatch`]
-/// when the v2 trailer disagrees with the contents, and propagates I/O
+/// when the trailer disagrees with the contents, and propagates I/O
 /// failures (including truncation).
 pub fn read_binary<R: Read>(r: R) -> Result<Hypergraph, ReadHypergraphError> {
     let mut r = crate::checksum::HashingReader::new(r);
@@ -279,40 +275,23 @@ pub fn read_binary<R: Read>(r: R) -> Result<Hypergraph, ReadHypergraphError> {
     let mut ver = [0u8; 4];
     r.read_exact(&mut ver)?;
     let version = u32::from_le_bytes(ver);
-    if !(BINARY_MIN_VERSION..=BINARY_VERSION).contains(&version) {
+    if version != BINARY_VERSION {
         return Err(ReadHypergraphError::BadHeader(format!("unsupported version {version}")));
     }
     let h_offsets = read_u32s(&mut r, "hyperedge offsets")?;
     let h_targets = read_u32s(&mut r, "hyperedge targets")?;
     let v_offsets = read_u32s(&mut r, "vertex offsets")?;
     let v_targets = read_u32s(&mut r, "vertex targets")?;
-    if version >= 2 {
-        let computed = r.digest();
-        let mut trailer = [0u8; 8];
-        r.get_mut().read_exact(&mut trailer)?;
-        let stored = u64::from_le_bytes(trailer);
-        if stored != computed {
-            return Err(ReadHypergraphError::ChecksumMismatch { stored, computed });
-        }
+    let computed = r.digest();
+    let mut trailer = [0u8; 8];
+    r.get_mut().read_exact(&mut trailer)?;
+    let stored = u64::from_le_bytes(trailer);
+    if stored != computed {
+        return Err(ReadHypergraphError::ChecksumMismatch { stored, computed });
     }
     let h = crate::Csr::try_from_raw(h_offsets, h_targets)?;
     let v = crate::Csr::try_from_raw(v_offsets, v_targets)?;
     Ok(Hypergraph::try_from_directed_csr(h, v)?)
-}
-
-/// Rewrites a v2 binary blob as the legacy v1 format (patch the version
-/// field, drop the checksum trailer). Exposed for compatibility tests and
-/// migration tooling; new files should always be v2.
-pub fn downgrade_binary_to_v1(v2: &[u8]) -> Option<Vec<u8>> {
-    if v2.len() < 16 || &v2[..4] != BINARY_MAGIC {
-        return None;
-    }
-    if u32::from_le_bytes([v2[4], v2[5], v2[6], v2[7]]) != 2 {
-        return None;
-    }
-    let mut v1 = v2[..v2.len() - 8].to_vec();
-    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-    Some(v1)
 }
 
 #[cfg(test)]
@@ -429,15 +408,6 @@ mod tests {
             ),
             "payload flip must be detected"
         );
-    }
-
-    #[test]
-    fn v1_files_still_read() {
-        let g = crate::generate::GeneratorConfig::new(120, 80).with_seed(5).generate();
-        let mut v2 = Vec::new();
-        write_binary(&g, &mut v2).unwrap();
-        let v1 = downgrade_binary_to_v1(&v2).expect("well-formed v2 blob");
-        assert_eq!(read_binary(&v1[..]).unwrap(), g, "v1 must remain readable");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Overlap is symmetric, so the kernel counts every pair once. Row `a`
 //! walks its pivots and, from each pivot's ascending member list, scatters
 //! only the suffix `b > a` into the counter. Rows run in ascending order,
-//! so a per-pivot cursor (placed by `partition_point` at the first row)
+//! so a per-pivot cursor (starting at the pivot list's first entry)
 //! always sits on `a`'s own entry and the suffix starts right after it.
 //! Each pair that reaches `W_min` then serves two rows: `b` is a candidate
 //! of row `a`, and `a` is *mirrored* into row `b`, whose turn comes later.
@@ -19,7 +19,7 @@
 //!
 //! The counter is a plain `u32` per row of the side, zero between rows,
 //! and `touched` lists the distinct rows a scatter reached; both are
-//! allocated once per span. A scatter step has no data-dependent branch:
+//! allocated once per build. A scatter step has no data-dependent branch:
 //! it increments `counts[b]`, stores `b` at the end of `touched`
 //! unconditionally, and advances the end only if the old count was zero
 //! (so `touched` has one spare slot). Row `a`'s own count is held nonzero
@@ -53,12 +53,6 @@
 //! whose sides are not (a directed one) has asymmetric overlap, and there
 //! every row counts its whole two-hop neighborhood and mirrors nothing.
 //!
-//! The threaded build runs the same kernel over contiguous spans of rows.
-//! Pairs a span mirrors into rows past its end stay in the span's slots for
-//! those rows; the merge then keeps, row by row in index order, the top-k
-//! of the owning span's row and every earlier span's pairs for it. This is
-//! exact for any thread count.
-//!
 //! [`OagBuildStats`] describes the paper's full two-hop walk, not the half
 //! the kernel executes: `two_hop_steps` adds `deg(p)` per visit of a pivot
 //! `p` within the cap (`Σ deg(p)²` in all), `pivots_skipped` counts visits
@@ -70,7 +64,6 @@ use hypergraph::{Csr, Hypergraph, Side};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::ops::Range;
 
 /// Configuration of OAG construction.
 ///
@@ -128,94 +121,14 @@ impl OagConfig {
         self.build_with_stats(g, side).0
     }
 
-    /// Builds the OAG and reports preprocessing statistics (Fig. 21).
+    /// Builds the OAG and reports preprocessing statistics (Fig. 21): the
+    /// half-counting kernel fills every row's padded slots, which one
+    /// in-place left compaction turns into the final CSR arrays.
     pub fn build_with_stats(&self, g: &Hypergraph, side: Side) -> (Oag, OagBuildStats) {
-        self.build_with_stats_threads(g, side, 1)
-    }
-
-    /// Builds the OAG across `threads` worker threads.
-    ///
-    /// The result is **bit-identical** to the serial build for any thread
-    /// count: the source range is split into contiguous spans, each span
-    /// runs the serial kernel with private scratch, and the merge combines,
-    /// row by row in index order, the span's own row with the pairs earlier
-    /// spans mirrored into it. Every row is a top-k over a total order
-    /// (descending weight, ascending id — the storage contract of the
-    /// hardware's neighbor-selection stage), so the split cannot change it.
-    pub fn build_threads(&self, g: &Hypergraph, side: Side, threads: usize) -> Oag {
-        self.build_with_stats_threads(g, side, threads).0
-    }
-
-    /// Builds the OAG and statistics across `threads` worker threads (see
-    /// [`build_threads`](Self::build_threads) for the determinism contract).
-    pub fn build_with_stats_threads(
-        &self,
-        g: &Hypergraph,
-        side: Side,
-        threads: usize,
-    ) -> (Oag, OagBuildStats) {
         let n = g.num_on(side);
-        let threads = threads.max(1).min(n.max(1));
         let pivots = Pivots::new(g, side);
-        if threads == 1 {
-            return self.build_in_place(g, side, &pivots);
-        }
-        let per = n.div_ceil(threads);
-        let parts: Vec<SpanRows> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let span = (t * per).min(n) as u32..((t + 1) * per).min(n) as u32;
-                    let pivots = &pivots;
-                    scope.spawn(move || self.count_pairs(g, side, pivots, span))
-                })
-                .collect();
-            // invariant: count_pairs is pure arithmetic over a validated
-            // graph; a panic there is a bug, and silently dropping a span
-            // would corrupt the merged OAG, so the panic is re-propagated
-            // rather than recovered.
-            handles.into_iter().map(|h| h.join().expect("OAG span worker panicked")).collect()
-        });
-
-        let mut stats = OagBuildStats::default();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut edges = Vec::new();
-        let mut weights = Vec::new();
-        let mut row: Vec<(u32, u32)> = Vec::new();
-        for (t, part) in parts.iter().enumerate() {
-            for r in part.span.clone() {
-                row.clear();
-                row.extend(part.row(r));
-                let own = row.len();
-                for earlier in &parts[..t] {
-                    row.extend(earlier.row(r));
-                }
-                if row.len() > own {
-                    self.keep_heaviest(&mut row);
-                }
-                edges.extend(row.iter().map(|&(b, _)| b));
-                weights.extend(row.iter().map(|&(_, w)| w));
-                // invariant: node ids are u32 and max_degree caps edges
-                // per node, so the total edge count fits u32 by
-                // construction.
-                offsets.push(u32::try_from(edges.len()).expect("OAG edge count fits u32"));
-            }
-            stats.two_hop_steps += part.stats.two_hop_steps;
-            stats.pairs_considered += part.stats.pairs_considered;
-            stats.pivots_skipped += part.stats.pivots_skipped;
-        }
-        stats.edges_kept = edges.len();
-        let oag = Oag::from_parts(side, self.w_min, offsets, edges, weights);
-        stats.size_bytes = oag.size_bytes();
-        (oag, stats)
-    }
-
-    /// The serial build: one span over every row, whose padded slots are
-    /// compacted in place into the final CSR arrays.
-    fn build_in_place(&self, g: &Hypergraph, side: Side, pivots: &Pivots) -> (Oag, OagBuildStats) {
-        let n = g.num_on(side);
-        let SpanRows { start, fill, mut edges, mut weights, mut stats, .. } =
-            self.count_pairs(g, side, pivots, 0..n as u32);
+        let PaddedRows { start, fill, mut edges, mut weights, mut stats } =
+            self.count_pairs(g, side, &pivots);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
         let mut end = 0;
@@ -240,33 +153,18 @@ impl OagConfig {
         (oag, stats)
     }
 
-    /// The half-counting kernel over the rows of `span` (see the module
-    /// docs). Rows of the span come out final for the span: the top-k of
-    /// their forward candidates and the pairs mirrored from earlier rows
-    /// of the span, sorted. Rows past the span (symmetric builds only)
-    /// come out holding the top-k of the pairs the span mirrored into
-    /// them, unsorted. All scratch — the counter, the touched list, the
-    /// row buffer — is allocated once per span; the drain leaves every
-    /// count zero for the next row.
-    fn count_pairs(
-        &self,
-        g: &Hypergraph,
-        side: Side,
-        pivots: &Pivots,
-        span: Range<u32>,
-    ) -> SpanRows {
+    /// The half-counting kernel over every row (see the module docs). Each
+    /// row comes out final: the top-k of its forward candidates and the
+    /// pairs mirrored from earlier rows, sorted. All scratch — the counter,
+    /// the touched list, the row buffer — is allocated once; the drain
+    /// leaves every count zero for the next row.
+    fn count_pairs(&self, g: &Hypergraph, side: Side, pivots: &Pivots) -> PaddedRows {
         let n = g.num_on(side);
         let rows = g.csr_for(side);
         let lists = &*pivots.lists;
         let symmetric = pivots.symmetric;
         let pivot_cap = self.max_pivot_degree as u64;
-        let counted = span.start as usize..span.end as usize;
-        let mut out = SpanRows::with_slots(counted.clone(), n, |r| {
-            // Rows past the span only receive mirrored pairs, and only in
-            // a symmetric build.
-            if !symmetric && !counted.contains(&r) {
-                return 0;
-            }
+        let mut out = PaddedRows::with_slots(n, |r| {
             // Each pivot within the cap adds at most its other members
             // (in a symmetric build the row itself is one of them).
             let bound: usize = rows
@@ -287,21 +185,15 @@ impl OagConfig {
 
         // Rows are visited in ascending order, so in a symmetric build row
         // `a`'s own entry in each of its pivots' lists is the first one not
-        // yet passed: one cursor per pivot, placed by binary search at the
-        // span's start, finds every suffix `b > a` without another search.
+        // yet passed: one cursor per pivot, starting at the list's first
+        // entry, finds every suffix `b > a` without a search.
         let targets = lists.targets();
         let mut cursor: Vec<u32> = if symmetric {
-            (0..lists.len())
-                .map(|p| {
-                    let (from, _) = lists.target_range(p);
-                    let passed = lists.neighbors(p).partition_point(|&b| b < span.start);
-                    (from + passed) as u32
-                })
-                .collect()
+            (0..lists.len()).map(|p| lists.target_range(p).0 as u32).collect()
         } else {
             Vec::new()
         };
-        for a in span {
+        for a in 0..n as u32 {
             // A directed build's pivot lists may hold `a` itself: its
             // count starts nonzero, so it never enters `touched`.
             counts[a as usize] = 1;
@@ -333,7 +225,7 @@ impl OagConfig {
             // Once the row's own slots are full, a forward candidate at or
             // below their floor cannot make the top-k: the held pairs all
             // weigh at least as much and have smaller ids.
-            let floor = out.fill[a as usize - out.span.start].floor;
+            let floor = out.fill[a as usize].floor;
             row.clear();
             row.extend(out.row(a as usize));
             for &b in &touched[..t] {
@@ -394,13 +286,10 @@ impl<'g> Pivots<'g> {
     }
 }
 
-/// One span's output in the padded layout, covering every row from the
-/// span's first to the last. Row `r` sits at index `i = r - span.start`
-/// and owns slots `start[i]..start[i + 1]` of `edges`/`weights`, of which
-/// the first `fill[i].len` are filled.
-struct SpanRows {
-    /// The rows the span counted; rows past it only receive mirrored pairs.
-    span: Range<usize>,
+/// The build's output in the padded layout: row `r` owns slots
+/// `start[r]..start[r + 1]` of `edges`/`weights`, of which the first
+/// `fill[r].len` are filled.
+struct PaddedRows {
     start: Vec<usize>,
     fill: Vec<Fill>,
     edges: Vec<u32>,
@@ -419,14 +308,13 @@ struct Fill {
     floor: u32,
 }
 
-impl SpanRows {
-    /// Empty rows `span.start..n`, each with `slots(r)` slots.
-    fn with_slots(span: Range<usize>, n: usize, slots: impl Fn(usize) -> usize) -> Self {
-        let rows = span.start..n;
-        let mut start = Vec::with_capacity(rows.len() + 1);
+impl PaddedRows {
+    /// `n` empty rows, row `r` with `slots(r)` slots.
+    fn with_slots(n: usize, slots: impl Fn(usize) -> usize) -> Self {
+        let mut start = Vec::with_capacity(n + 1);
         start.push(0);
         let mut total = 0;
-        for r in rows.clone() {
+        for r in 0..n {
             total += slots(r);
             start.push(total);
         }
@@ -434,8 +322,7 @@ impl SpanRows {
             .windows(2)
             .map(|s| Fill { len: 0, floor: if s[0] == s[1] { u32::MAX } else { 0 } })
             .collect();
-        SpanRows {
-            span,
+        PaddedRows {
             start,
             fill,
             edges: vec![0; total],
@@ -446,20 +333,18 @@ impl SpanRows {
 
     /// The filled slots of row `r` as `(neighbor, weight)` pairs.
     fn row(&self, r: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let i = r - self.span.start;
-        let filled = self.start[i]..self.start[i] + self.fill[i].len as usize;
+        let filled = self.start[r]..self.start[r] + self.fill[r].len as usize;
         self.edges[filled.clone()].iter().copied().zip(self.weights[filled].iter().copied())
     }
 
     /// Overwrites row `r` with `row`, which fits its slots.
     fn set_row(&mut self, r: usize, row: &[(u32, u32)]) {
-        let i = r - self.span.start;
-        let from = self.start[i];
+        let from = self.start[r];
         for (k, &(b, w)) in row.iter().enumerate() {
             self.edges[from + k] = b;
             self.weights[from + k] = w;
         }
-        self.fill[i].len = row.len() as u32;
+        self.fill[r].len = row.len() as u32;
     }
 
     /// Offers the pair `(a, w)` to row `b`, keeping the row's top-k. Pairs
@@ -467,14 +352,13 @@ impl SpanRows {
     /// enters a full row only above the floor, evicting the lowest-weight
     /// pair with the highest id.
     fn mirror(&mut self, b: usize, a: u32, w: u32) {
-        let i = b - self.span.start;
-        if w <= self.fill[i].floor {
+        if w <= self.fill[b].floor {
             return;
         }
-        let slots = self.start[i]..self.start[i + 1];
-        let filled = self.fill[i].len as usize;
+        let slots = self.start[b]..self.start[b + 1];
+        let filled = self.fill[b].len as usize;
         let k = if filled < slots.len() {
-            self.fill[i].len += 1;
+            self.fill[b].len += 1;
             slots.start + filled
         } else {
             slots
@@ -484,8 +368,8 @@ impl SpanRows {
         };
         self.edges[k] = a;
         self.weights[k] = w;
-        if self.fill[i].len as usize == slots.len() {
-            self.fill[i].floor = self.weights[slots].iter().copied().min().unwrap_or(u32::MAX);
+        if self.fill[b].len as usize == slots.len() {
+            self.fill[b].floor = self.weights[slots].iter().copied().min().unwrap_or(u32::MAX);
         }
     }
 }
@@ -643,7 +527,7 @@ mod tests {
     }
 
     #[test]
-    fn builds_match_reference_on_every_dataset_at_any_thread_count() {
+    fn builds_match_reference_on_every_dataset() {
         use hypergraph::datasets::Dataset;
         for ds in Dataset::ALL {
             let g = ds.load();
@@ -651,10 +535,8 @@ mod tests {
                 let cfg = OagConfig::new().with_w_min(w_min);
                 for side in [Side::Hyperedge, Side::Vertex] {
                     let want = crate::reference::build_with_stats(&cfg, &g, side);
-                    for threads in [1, 2, 3, 8] {
-                        let got = cfg.build_with_stats_threads(&g, side, threads);
-                        assert!(got == want, "{ds} W_min {w_min} {side:?} threads {threads}");
-                    }
+                    let got = cfg.build_with_stats(&g, side);
+                    assert!(got == want, "{ds} W_min {w_min} {side:?}");
                 }
             }
         }
@@ -680,10 +562,7 @@ mod tests {
             for side in [Side::Hyperedge, Side::Vertex] {
                 assert!(!Pivots::new(&g, side).symmetric, "{side:?}");
                 let want = crate::reference::build_with_stats(&cfg, &g, side);
-                for threads in [1, 3] {
-                    let got = cfg.build_with_stats_threads(&g, side, threads);
-                    assert!(got == want, "{side:?} threads {threads}");
-                }
+                assert!(cfg.build_with_stats(&g, side) == want, "{side:?}");
             }
         }
     }

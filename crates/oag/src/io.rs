@@ -4,10 +4,10 @@
 //! across algorithm executions (§IV-A, §VI-G). This module provides the
 //! compact on-disk format a system would cache it in: a magic/version
 //! header, the side tag and `W_min`, then the three raw arrays
-//! (`OAG_offset`, `OAG_edge`, `OAG_weight`) in little-endian, and — since
-//! format v2 — a trailing FNV-1a checksum of everything before it so
-//! storage corruption is detected at read time instead of being
-//! deserialized into a silently wrong OAG.
+//! (`OAG_offset`, `OAG_edge`, `OAG_weight`) in little-endian, and a
+//! trailing FNV-1a checksum of everything before it so storage corruption
+//! is detected at read time instead of being deserialized into a silently
+//! wrong OAG.
 
 use crate::Oag;
 use hypergraph::checksum::{HashingReader, HashingWriter};
@@ -17,11 +17,8 @@ use std::fmt;
 use std::io::{Read, Write};
 
 const MAGIC: &[u8; 4] = b"CHGO";
-/// Version written by [`write_binary`]; [`read_binary`] also accepts the
-/// checksum-less legacy v1.
+/// The only version [`write_binary`] writes and [`read_binary`] accepts.
 const VERSION: u32 = 2;
-/// Oldest version [`read_binary`] accepts.
-const MIN_VERSION: u32 = 1;
 /// Upper bound on a deserialized array length (ids are `u32`, so any real
 /// OAG fits well under this); larger values can only be corruption.
 const MAX_ARRAY_LEN: u64 = 1 << 33;
@@ -33,7 +30,7 @@ pub enum ReadOagError {
     Io(std::io::Error),
     /// Bad magic, version, or inconsistent arrays.
     Malformed(String),
-    /// The trailing v2 checksum did not match the file contents.
+    /// The trailing checksum did not match the file contents.
     ChecksumMismatch {
         /// Digest stored in the file trailer.
         stored: u64,
@@ -121,15 +118,14 @@ pub fn write_binary<W: Write>(oag: &Oag, w: W) -> std::io::Result<()> {
     w.into_inner().write_all(&digest.to_le_bytes())
 }
 
-/// Reads an OAG written by [`write_binary`]. Accepts both format versions:
-/// v2 (current, trailing checksum verified) and the legacy checksum-less
-/// v1. Every deserialized offset and edge id is bounds-validated before
-/// the OAG is constructed.
+/// Reads an OAG written by [`write_binary`], verifying its trailing
+/// checksum. Every deserialized offset and edge id is bounds-validated
+/// before the OAG is constructed.
 ///
 /// # Errors
 ///
 /// Returns [`ReadOagError::Malformed`] for header or consistency problems,
-/// [`ReadOagError::ChecksumMismatch`] when the v2 trailer disagrees with
+/// [`ReadOagError::ChecksumMismatch`] when the trailer disagrees with
 /// the contents, and [`ReadOagError::Io`] for underlying failures
 /// (including truncation).
 pub fn read_binary<R: Read>(r: R) -> Result<Oag, ReadOagError> {
@@ -142,7 +138,7 @@ pub fn read_binary<R: Read>(r: R) -> Result<Oag, ReadOagError> {
     let mut ver = [0u8; 4];
     r.read_exact(&mut ver)?;
     let version = u32::from_le_bytes(ver);
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(ReadOagError::Malformed(format!("unsupported version {version}")));
     }
     let mut side_byte = [0u8; 1];
@@ -158,14 +154,12 @@ pub fn read_binary<R: Read>(r: R) -> Result<Oag, ReadOagError> {
     let offsets = read_u32s(&mut r, "offsets")?;
     let edges = read_u32s(&mut r, "edges")?;
     let weights = read_u32s(&mut r, "weights")?;
-    if version >= 2 {
-        let computed = r.digest();
-        let mut trailer = [0u8; 8];
-        r.get_mut().read_exact(&mut trailer)?;
-        let stored = u64::from_le_bytes(trailer);
-        if stored != computed {
-            return Err(ReadOagError::ChecksumMismatch { stored, computed });
-        }
+    let computed = r.digest();
+    let mut trailer = [0u8; 8];
+    r.get_mut().read_exact(&mut trailer)?;
+    let stored = u64::from_le_bytes(trailer);
+    if stored != computed {
+        return Err(ReadOagError::ChecksumMismatch { stored, computed });
     }
     let Some(&last) = offsets.last() else {
         return Err(ReadOagError::Malformed("empty offsets".into()));
@@ -181,21 +175,6 @@ pub fn read_binary<R: Read>(r: R) -> Result<Oag, ReadOagError> {
         return Err(ReadOagError::Malformed("edge target out of range".into()));
     }
     Ok(Oag::from_parts(side, w_min, offsets, edges, weights))
-}
-
-/// Rewrites a v2 binary blob as the legacy v1 format (patch the version
-/// field, drop the checksum trailer). Exposed for compatibility tests and
-/// migration tooling; new files should always be v2.
-pub fn downgrade_binary_to_v1(v2: &[u8]) -> Option<Vec<u8>> {
-    if v2.len() < 16 || &v2[..4] != MAGIC {
-        return None;
-    }
-    if u32::from_le_bytes([v2[4], v2[5], v2[6], v2[7]]) != 2 {
-        return None;
-    }
-    let mut v1 = v2[..v2.len() - 8].to_vec();
-    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-    Some(v1)
 }
 
 #[cfg(test)]
@@ -245,15 +224,6 @@ mod tests {
             read_binary(&buf[..]).unwrap_err(),
             ReadOagError::ChecksumMismatch { .. } | ReadOagError::Malformed(_)
         ));
-    }
-
-    #[test]
-    fn v1_files_still_read() {
-        let oag = sample();
-        let mut v2 = Vec::new();
-        write_binary(&oag, &mut v2).unwrap();
-        let v1 = downgrade_binary_to_v1(&v2).expect("well-formed v2 blob");
-        assert_eq!(read_binary(&v1[..]).unwrap(), oag, "v1 must remain readable");
     }
 
     #[test]

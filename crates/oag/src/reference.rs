@@ -9,7 +9,7 @@
 //! Compiled only under `cfg(test)` or the `reference-kernels` feature.
 //! The workspace identity suite proves the optimized kernels produce
 //! byte-identical [`Oag`]s / [`ChainSet`]s / build statistics against
-//! these, across random geometries, datasets and thread counts; the
+//! these, across random geometries and datasets; the
 //! `hotpath` benchmark reports the speedup over them.
 
 use crate::{ChainConfig, ChainObserver, ChainSet, NoopObserver, Oag, OagBuildStats, OagConfig};
@@ -17,11 +17,10 @@ use hypergraph::{Frontier, Hypergraph, Side};
 use std::ops::Range;
 
 /// The pre-rewrite serial OAG build, preserved verbatim from the original
-/// `build_with_stats_threads` pipeline: two-hop counting with a
-/// clear-as-you-drain scratch and a full-row sort, rows staged into
-/// span-local buffers, then a merge pass copying them into the final CSR
-/// arrays (the threaded build's concatenation step, which the original
-/// serial path also paid with a single span). Produces the same
+/// span-and-merge pipeline: two-hop counting with a clear-as-you-drain
+/// scratch and a full-row sort, rows staged into span-local buffers, then
+/// a merge pass copying them into the final CSR arrays (the original
+/// serial path paid that concatenation with a single span). Produces the same
 /// `(Oag, OagBuildStats)` as [`OagConfig::build_with_stats`].
 pub fn build_with_stats(cfg: &OagConfig, g: &Hypergraph, side: Side) -> (Oag, OagBuildStats) {
     let n = g.num_on(side);

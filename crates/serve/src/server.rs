@@ -69,8 +69,6 @@ pub struct ServeConfig {
     /// (the stricter of the two wins per budget) — the service's runaway
     /// protection.
     pub default_watchdog: WatchdogConfig,
-    /// Host threads for OAG construction inside a worker.
-    pub oag_build_threads: usize,
     /// Quiet-period budget per read while a frame is in progress: if no
     /// byte arrives for this long, the connection is closed (read-timeout).
     pub read_timeout: Duration,
@@ -106,7 +104,6 @@ impl Default for ServeConfig {
             oag_lru: 8,
             cache_dir: None,
             default_watchdog: WatchdogConfig::default(),
-            oag_build_threads: 1,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
             frame_deadline: Duration::from_secs(60),
@@ -562,7 +559,7 @@ fn merged_watchdog(service: WatchdogConfig, request: &RunRequest) -> WatchdogCon
 /// Builds the library-level [`RunConfig`] for a request; `Err` is a
 /// bad-request message.
 fn build_run_config(request: &RunRequest, shared: &Shared) -> Result<RunConfig, String> {
-    let mut cfg = RunConfig::new().with_oag_build_threads(shared.cfg.oag_build_threads);
+    let mut cfg = RunConfig::new();
     if let Some(cores) = request.cores {
         if cores == 0 {
             return Err("cores must be >= 1".into());

@@ -32,9 +32,8 @@ fn usage() -> ExitCode {
          \x20                 (runtime aliases: hcg = chgraph-hcg, hats = hats-v)\n\
          \x20                 (--dataset <FS|OK|LJ|WEB|OG> | --input <file.hgr>)\n\
          \x20                 [--cores <n>] [--dmax <n>] [--wmin <n>] [--iters <n>]\n\
-         \x20                 [--threads <n>]  (host threads for OAG construction;\n\
-         \x20                                   default: available parallelism, output\n\
-         \x20                                   is bit-identical for any value)\n\
+         \x20                 [--partition]    (overlap-aware hyperedge partitioning\n\
+         \x20                                   across the cores before the run)\n\
          \x20                 [--validate]     (deep structural checks: input, OAGs,\n\
          \x20                                   and per-schedule chain-cover proofs)\n\
          \x20                 [--self-check]   (diff the result against the naive\n\
@@ -58,11 +57,57 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn parse_flags(args: &[String]) -> Option<HashMap<String, String>> {
+/// The flags each subcommand documents; any other flag is rejected.
+const RUN_FLAGS: &[&str] = &[
+    "workload",
+    "runtime",
+    "dataset",
+    "input",
+    "cores",
+    "dmax",
+    "wmin",
+    "iters",
+    "partition",
+    "validate",
+    "self-check",
+    "max-cycles",
+    "json",
+];
+const STATS_FLAGS: &[&str] = &["dataset", "input"];
+const GEN_FLAGS: &[&str] = &["vertices", "hyperedges", "out", "seed"];
+const SUBMIT_FLAGS: &[&str] = &[
+    "addr",
+    "workload",
+    "runtime",
+    "dataset",
+    "scale",
+    "cores",
+    "dmax",
+    "wmin",
+    "iters",
+    "max-cycles",
+    "max-wall-ms",
+    "repeat",
+    "validate",
+    "self-check",
+    "json",
+    "retries",
+    "retry-base-ms",
+    "request-key",
+];
+const SERVE_STATS_FLAGS: &[&str] = &["addr", "json"];
+
+/// Parses `--flag value` pairs; `None` on a token that is not a flag or a
+/// flag outside `known`.
+fn parse_flags(args: &[String], known: &[&str]) -> Option<HashMap<String, String>> {
     let mut map = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i].strip_prefix("--")?;
+        if !known.contains(&key) {
+            eprintln!("error: unknown flag --{key}");
+            return None;
+        }
         // Boolean flags (`--validate`) may appear bare: when the next token
         // is another flag (or absent), the value defaults to "true".
         let value = match args.get(i + 1) {
@@ -111,10 +156,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<(), String> {
         .get("runtime")
         .and_then(|r| System::from_name(r))
         .ok_or("missing or unknown --runtime")?;
-    let mut cfg = RunConfig::new().with_oag_build_threads(chg_bench::default_threads());
-    if let Some(t) = flags.get("threads") {
-        cfg = cfg.with_oag_build_threads(t.parse().map_err(|_| "bad --threads")?);
-    }
+    let mut cfg = RunConfig::new();
     if let Some(c) = flags.get("cores") {
         let cores: usize = c.parse().map_err(|_| "bad --cores")?;
         cfg = cfg.with_system(SystemConfig::scaled(cores));
@@ -354,23 +396,23 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
-    let Some(flags) = parse_flags(rest) else {
+    type Command = fn(HashMap<String, String>) -> Result<(), String>;
+    let (known, command): (&[&str], Command) = match cmd.as_str() {
+        "run" => (RUN_FLAGS, cmd_run),
+        "stats" => (STATS_FLAGS, cmd_stats),
+        "gen" => (GEN_FLAGS, cmd_gen),
+        "submit" => (SUBMIT_FLAGS, cmd_submit),
+        "serve-stats" => (SERVE_STATS_FLAGS, cmd_serve_stats),
+        _ => return usage(),
+    };
+    let Some(flags) = parse_flags(rest, known) else {
         return usage();
     };
     // Panic isolation: a workload or simulator bug becomes a clean error
     // exit with a message, never an abort trace reaching the caller.
-    let result = std::panic::catch_unwind(move || match cmd.as_str() {
-        "run" => Some(cmd_run(flags)),
-        "stats" => Some(cmd_stats(flags)),
-        "gen" => Some(cmd_gen(flags)),
-        "submit" => Some(cmd_submit(flags)),
-        "serve-stats" => Some(cmd_serve_stats(flags)),
-        _ => None,
-    });
-    match result {
-        Ok(None) => usage(),
-        Ok(Some(Ok(()))) => ExitCode::SUCCESS,
-        Ok(Some(Err(e))) => {
+    match std::panic::catch_unwind(move || command(flags)) {
+        Ok(Ok(())) => ExitCode::SUCCESS,
+        Ok(Err(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }

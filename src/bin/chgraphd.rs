@@ -8,7 +8,10 @@
 //! over the `chg_serve` protocol, executes them on a bounded worker pool,
 //! and keeps hot prepared artifacts in an in-memory LRU backed by the
 //! on-disk preprocess cache. `chgraph-cli submit` / `serve-stats` are the
-//! matching clients.
+//! matching clients. A missing OAG pair is built serially on the worker
+//! that first requests it; `--workers` is the daemon's only parallelism.
+//! Any flag the usage text does not list is rejected with the usage and
+//! a non-zero exit.
 //!
 //! SIGINT and SIGTERM trigger a graceful drain: intake stops, queued and
 //! in-flight runs finish and reply, and the process exits 0. A protocol
@@ -47,7 +50,6 @@ fn usage() -> ExitCode {
          \x20          [--graph-lru <n>]       (resident graphs, default 8)\n\
          \x20          [--oag-lru <n>]         (resident prepared-OAG pairs, default 8)\n\
          \x20          [--cache-dir <dir>]     (on-disk preprocess cache; off by default)\n\
-         \x20          [--threads <n>]         (host threads per OAG build, default 1)\n\
          \x20          [--max-cycles <n>]      (default per-request cycle budget)\n\
          \x20          [--max-wall-ms <n>]     (default per-request wall-clock budget)\n\
          \x20          [--read-timeout-ms <n>] (per-read quiet period mid-frame, default 30000)\n\
@@ -61,11 +63,35 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// The flags the usage text documents; any other flag is rejected.
+const FLAGS: &[&str] = &[
+    "addr",
+    "workers",
+    "queue",
+    "graph-lru",
+    "oag-lru",
+    "cache-dir",
+    "max-cycles",
+    "max-wall-ms",
+    "read-timeout-ms",
+    "write-timeout-ms",
+    "frame-deadline-ms",
+    "max-conns",
+    "shed-ms",
+    "dedup",
+];
+
+/// Parses `--flag value` pairs; `None` on a token that is not a flag, a
+/// flag without a value, or a flag outside [`FLAGS`].
 fn parse_flags(args: &[String]) -> Option<HashMap<String, String>> {
     let mut map = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i].strip_prefix("--")?;
+        if !FLAGS.contains(&key) {
+            eprintln!("error: unknown flag --{key}");
+            return None;
+        }
         let value = args.get(i + 1)?.clone();
         map.insert(key.to_string(), value);
         i += 2;
@@ -96,7 +122,6 @@ fn run(flags: HashMap<String, String>) -> Result<(), String> {
         oag_lru: get_num("oag-lru", 8)?.max(1),
         cache_dir: flags.get("cache-dir").cloned(),
         default_watchdog: watchdog,
-        oag_build_threads: get_num("threads", 1)?.max(1),
         read_timeout: Duration::from_millis(
             get_num("read-timeout-ms", defaults.read_timeout.as_millis() as usize)?.max(1) as u64,
         ),

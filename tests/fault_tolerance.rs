@@ -8,7 +8,8 @@
 
 use chg_bench::faultutil::{Fault, FaultReader, FaultWriter};
 use chg_bench::figures::{Harness, System};
-use chg_bench::{load_scaled, PreprocessCache, Scale};
+use chg_bench::{ArtifactStore, PreprocessCache, Scale};
+use chgraph::RunConfig;
 use hyperalgos::Workload;
 use hypergraph::datasets::Dataset;
 use hypergraph::{Hypergraph, Side};
@@ -158,41 +159,64 @@ fn torn_writes_are_caught_on_read_back() {
 }
 
 // ---------------------------------------------------------------------------
-// v1 compatibility: version-gated reads of the checksum-less legacy format.
+// Retired formats: a pre-checksum (v1) entry is corruption, not a hit.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn legacy_v1_blobs_read_identically() {
-    let g = sample_graph();
-    let v1 = hypergraph::io::downgrade_binary_to_v1(&graph_bytes(&g)).expect("v2 blob");
-    assert_eq!(hypergraph::io::read_binary(&v1[..]).unwrap(), g);
-
-    let oag = sample_oag();
-    let v1 = oag::io::downgrade_binary_to_v1(&oag_bytes(&oag)).expect("v2 blob");
-    assert_eq!(oag::io::read_binary(&v1[..]).unwrap(), oag);
+/// Rewrites a v2 blob with a v1 header: version field 1, trailer stripped.
+fn as_v1(v2: &[u8]) -> Vec<u8> {
+    let mut v1 = v2[..v2.len() - 8].to_vec();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    v1
 }
 
 #[test]
-fn v1_cache_entries_still_hit() {
-    // A cache directory written before the v2 bump (v1 entry framing with
-    // v1 inner blobs) must keep hitting after an upgrade.
-    let dir = tmpdir("v1compat");
-    let cache = PreprocessCache::new(&dir).unwrap();
-    let g = load_scaled(Dataset::Friendster, Scale(0.05));
-    cache.store_graph(Dataset::Friendster, Scale(0.05), &g);
-    // Find the stored entry and rewrite it as v1 on disk.
-    let entry = std::fs::read_dir(&dir)
+fn legacy_v1_blobs_are_rejected() {
+    let v1 = as_v1(&graph_bytes(&sample_graph()));
+    match hypergraph::io::read_binary(&v1[..]) {
+        Err(hypergraph::io::ReadHypergraphError::BadHeader(msg)) => {
+            assert!(msg.contains("unsupported version 1"), "{msg}")
+        }
+        other => panic!("v1 hypergraph blob must be a header error, got {other:?}"),
+    }
+    let v1 = as_v1(&oag_bytes(&sample_oag()));
+    match oag::io::read_binary(&v1[..]) {
+        Err(oag::io::ReadOagError::Malformed(msg)) => {
+            assert!(msg.contains("unsupported version 1"), "{msg}")
+        }
+        other => panic!("v1 OAG blob must be a malformed error, got {other:?}"),
+    }
+}
+
+#[test]
+fn v1_cache_entries_are_quarantined_and_recomputed() {
+    // Entries written before the checksummed v2 formats carry version 1
+    // and no trailer. They are not read: each is quarantined, and the
+    // recomputed entry is byte-identical to the one a clean run writes.
+    let dir = tmpdir("v1");
+    let (ds, scale, cfg) = (Dataset::Friendster, Scale(0.05), RunConfig::new());
+    let open = || ArtifactStore::new(1, 1, Some(Arc::new(PreprocessCache::new(&dir).unwrap())));
+    open().prepared(ds, scale, &cfg);
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
         .flatten()
         .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|x| x == "bin"))
-        .expect("one stored graph entry");
-    let v2 = std::fs::read(&entry).unwrap();
-    let v1 = hypergraph::io::downgrade_binary_to_v1(&v2).expect("entry is a v2 graph blob");
-    std::fs::write(&entry, &v1).unwrap();
-    let hit = cache.load_graph(Dataset::Friendster, Scale(0.05)).expect("v1 entry must hit");
-    assert_eq!(hit, g);
-    assert_eq!(cache.quarantined(), 0, "a valid v1 entry is not corruption");
+        .filter(|p| p.extension().is_some_and(|x| x == "bin"))
+        .collect();
+    entries.sort();
+    assert_eq!(entries.len(), 3, "one graph and two OAG entries");
+    let clean: Vec<Vec<u8>> = entries.iter().map(|p| std::fs::read(p).unwrap()).collect();
+    for (path, v2) in entries.iter().zip(&clean) {
+        std::fs::write(path, as_v1(v2)).unwrap();
+    }
+
+    let store = open();
+    store.prepared(ds, scale, &cfg);
+    let disk = store.disk().expect("store has a disk cache");
+    assert_eq!(disk.quarantined(), 3, "every v1 entry is quarantined");
+    assert_eq!(disk.hits(), 0, "no v1 entry may count as a hit");
+    for (path, v2) in entries.iter().zip(&clean) {
+        assert_eq!(&std::fs::read(path).unwrap(), v2, "{} recomputed differently", path.display());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -318,3 +318,39 @@ fn self_check_reports_budget_trips_as_exec_errors_with_progress() {
         other => panic!("expected a budget trip, got {other:?}"),
     }
 }
+
+// ---------------------------------------------------------------------------
+// Command-line input: a flag the usage text does not list is an error, not
+// a silently ignored default.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn undocumented_flags_are_rejected_with_usage() {
+    use std::process::Command;
+    let cases: [(&str, &[&str]); 4] = [
+        (
+            env!("CARGO_BIN_EXE_chgraph-cli"),
+            &[
+                "run",
+                "--workload",
+                "bfs",
+                "--runtime",
+                "chgraph",
+                "--dataset",
+                "FS",
+                "--threads",
+                "2",
+            ],
+        ),
+        (env!("CARGO_BIN_EXE_chgraph-cli"), &["run", "--workload", "pr", "--iter", "3"]),
+        (env!("CARGO_BIN_EXE_chgraph-cli"), &["stats", "--dataset", "FS", "--json"]),
+        (env!("CARGO_BIN_EXE_chgraphd"), &["--addr", "127.0.0.1:0", "--threads", "2"]),
+    ];
+    for (bin, args) in cases {
+        let out = Command::new(bin).args(args).output().expect("spawn binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must exit non-zero");
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?} must print the usage: {stderr}");
+    }
+}

@@ -184,22 +184,18 @@ proptest! {
         }
     }
 
-    /// The half-counting OAG build (serial and threaded) == the
-    /// pre-rewrite full two-hop walk with clear-as-drain counting and a
-    /// full-row sort, graph and stats both.
+    /// The half-counting OAG build == the pre-rewrite full two-hop walk
+    /// with clear-as-drain counting and a full-row sort, graph and stats
+    /// both.
     fn oag_builds_are_identical(
         g in arb_oag_hypergraph(),
         cfg in arb_oag_config(),
-        threads in 1usize..8,
     ) {
         for side in [Side::Hyperedge, Side::Vertex] {
             let (want, want_stats) = oag::reference::build_with_stats(&cfg, &g, side);
             let (got, got_stats) = cfg.build_with_stats(&g, side);
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(got_stats, want_stats);
-            let (threaded, threaded_stats) = cfg.build_with_stats_threads(&g, side, threads);
-            prop_assert_eq!(&threaded, &want);
-            prop_assert_eq!(threaded_stats, want_stats);
         }
     }
 
@@ -213,11 +209,9 @@ proptest! {
     ) {
         for side in [Side::Hyperedge, Side::Vertex] {
             let (want, want_stats) = oag::reference::build_with_stats(&cfg, &g, side);
-            for threads in 1..=8 {
-                let (got, got_stats) = cfg.build_with_stats_threads(&g, side, threads);
-                prop_assert_eq!(&got, &want, "{:?} threads {}", side, threads);
-                prop_assert_eq!(got_stats, want_stats, "{:?} threads {}", side, threads);
-            }
+            let (got, got_stats) = cfg.build_with_stats(&g, side);
+            prop_assert_eq!(&got, &want, "{:?}", side);
+            prop_assert_eq!(got_stats, want_stats, "{:?}", side);
         }
     }
 
@@ -251,6 +245,32 @@ proptest! {
                 generate_chains_with_scratch(&oag, &frontier, range.clone(), &cfg, &mut scratch);
             prop_assert_eq!(&fresh, &want);
             prop_assert_eq!(&reused, &want);
+        }
+    }
+}
+
+/// Raising `W_min` only filters rows: on every dataset at scale 0.05 and
+/// both sides, the OAG at `W_min` ∈ {3, 5, 7, 9} is the `W_min = 1` OAG
+/// with every edge lighter than `W_min` dropped. The rows' storage order
+/// (descending weight, ascending id) puts the pairs of any weight floor
+/// first, so the degree cap keeps the same heaviest pairs at every `W_min`.
+#[test]
+fn raising_w_min_filters_the_w_min_1_rows() {
+    use hypergraph::datasets::Dataset;
+    for ds in Dataset::ALL {
+        let g = chg_bench::load_scaled(ds, chg_bench::Scale(0.05));
+        for side in [Side::Hyperedge, Side::Vertex] {
+            let all = OagConfig::new().with_w_min(1).build(&g, side);
+            for w_min in [3, 5, 7, 9] {
+                let oag = OagConfig::new().with_w_min(w_min).build(&g, side);
+                assert_eq!(oag.len(), all.len());
+                for a in 0..all.len() as u32 {
+                    let kept = all.neighbors(a).iter().zip(all.weights_of(a));
+                    let want: Vec<_> = kept.filter(|&(_, &w)| w >= w_min).collect();
+                    let got: Vec<_> = oag.neighbors(a).iter().zip(oag.weights_of(a)).collect();
+                    assert_eq!(got, want, "{ds} {side:?} W_min {w_min} row {a}");
+                }
+            }
         }
     }
 }

@@ -89,7 +89,7 @@ fn second_identical_request_hits_the_lru_with_identical_result() {
     // (b) The served result is byte-identical to direct library execution:
     // same config knobs, no daemon, no cache.
     let g = chg_bench::load_scaled(Dataset::LiveJournal, chg_bench::Scale(SCALE));
-    let cfg = chgraph::RunConfig::new().with_oag_build_threads(1).with_max_iterations(4);
+    let cfg = chgraph::RunConfig::new().with_max_iterations(4);
     let direct = try_run_workload_prepared(Workload::Pr, &chgraph::System::ChGraph, &g, &cfg, None)
         .expect("direct run");
     assert_eq!(
