@@ -221,6 +221,51 @@ fn v1_cache_entries_are_quarantined_and_recomputed() {
 }
 
 // ---------------------------------------------------------------------------
+// Golden bytes: the encodings are a compatibility contract. A changed
+// digest changes the cache keys and makes every stored entry unreadable.
+// ---------------------------------------------------------------------------
+
+/// `"<length> <FNV-1a digest>"` of an encoding.
+fn golden(bytes: &[u8]) -> String {
+    format!("{} {:016x}", bytes.len(), hypergraph::checksum::fnv1a(bytes))
+}
+
+#[test]
+fn binary_encodings_match_golden_bytes() {
+    let fig1 = graph_bytes(&hypergraph::fig1_example());
+    assert_eq!(golden(&fig1), "196 de1a54bb06f487e7", "fig1 graph");
+
+    let (ds, scale) = (Dataset::LiveJournal, Scale(0.05));
+    let lj = chg_bench::load_scaled(ds, scale);
+    assert_eq!(golden(&graph_bytes(&lj)), "88644 81fb0cc20ed15c84", "LJ graph");
+    let key = chg_bench::cache::graph_fingerprint(&lj);
+    assert_eq!(format!("{key:016x}"), "81fb0cc20ed15c84", "LJ graph fingerprint");
+
+    let cfg = OagConfig::new();
+    let (hyperedge_oag, stats) = cfg.build_with_stats(&lj, Side::Hyperedge);
+    assert_eq!(golden(&oag_bytes(&hyperedge_oag)), "123469 3bb334434638a553", "hyperedge OAG");
+    let vertex_oag = cfg.build(&lj, Side::Vertex);
+    assert_eq!(golden(&oag_bytes(&vertex_oag)), "27833 5046e31300eec622", "vertex OAG");
+
+    // The cache's file names carry its keys; its OAG entry wraps the OAG
+    // blob with the build statistics.
+    let dir = tmpdir("golden");
+    let cache = PreprocessCache::new(&dir).unwrap();
+    cache.store_graph(ds, scale, &lj);
+    cache.store_oag(&lj, &cfg, Side::Hyperedge, &hyperedge_oag, &stats);
+    let mut entries: Vec<PathBuf> =
+        std::fs::read_dir(&dir).unwrap().flatten().map(|e| e.path()).collect();
+    entries.sort();
+    let names: Vec<String> =
+        entries.iter().map(|p| p.file_name().unwrap().to_string_lossy().into_owned()).collect();
+    assert_eq!(names, ["graph_lj_30f07a9201b7e784.bin", "oag_b4fa5777b5bfcc35.bin"]);
+    assert_eq!(std::fs::read(&entries[0]).unwrap(), graph_bytes(&lj), "graph entry is the blob");
+    let entry = std::fs::read(&entries[1]).unwrap();
+    assert_eq!(golden(&entry), "123525 a554423ed2a2e843", "OAG cache entry");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
 // Cache self-healing: corruption is quarantined and recomputed with
 // identical results.
 // ---------------------------------------------------------------------------
