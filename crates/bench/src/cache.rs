@@ -25,7 +25,7 @@
 //! results, only cost time.
 
 use crate::Scale;
-use hypergraph::checksum::{Fnv64, HashingReader, HashingWriter};
+use hypergraph::checksum::{read_container, read_u64, write_container, Fnv64, HashingWriter};
 use hypergraph::datasets::Dataset;
 use hypergraph::{Hypergraph, Side};
 use oag::{Oag, OagBuildStats, OagConfig};
@@ -47,40 +47,10 @@ const OAG_ENTRY_VERSION: u32 = 2;
 /// concurrent writer renames its tmp file within seconds).
 const DEFAULT_TMP_TTL: Duration = Duration::from_secs(600);
 
-/// An `io::Write` sink that FNV-1a fingerprints everything written to it,
-/// so the existing binary writers double as fingerprinters. Infallible:
-/// every write is accepted in full.
-struct FnvSink(Fnv64);
-
-impl FnvSink {
-    fn new() -> Self {
-        FnvSink(Fnv64::new())
-    }
-
-    fn push_bytes(&mut self, bytes: &[u8]) {
-        self.0.update(bytes);
-    }
-
-    fn digest(&self) -> u64 {
-        self.0.digest()
-    }
-}
-
-impl Write for FnvSink {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.update(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Content fingerprint of a hypergraph (its exact binary serialization).
 pub fn graph_fingerprint(g: &Hypergraph) -> u64 {
-    let mut w = FnvSink::new();
-    // FnvSink::write never fails, so the serializer cannot return an
+    let mut w = HashingWriter::new(io::sink());
+    // Writes to `io::sink` never fail, so the serializer cannot return an
     // error; ignore the Result instead of panicking on the impossible.
     let _ = hypergraph::io::write_binary(g, &mut w);
     w.digest()
@@ -213,16 +183,16 @@ impl PreprocessCache {
     fn graph_path(&self, ds: Dataset, scale: Scale) -> PathBuf {
         // Key on the generator configuration (not just the dataset name):
         // retuning a stand-in invalidates its cached graphs.
-        let mut fp = FnvSink::new();
-        fp.push_bytes(format!("{:?}", ds.config()).as_bytes());
-        fp.push_bytes(&scale.factor().to_bits().to_le_bytes());
+        let mut fp = Fnv64::new();
+        fp.update(format!("{:?}", ds.config()).as_bytes());
+        fp.update(&scale.factor().to_bits().to_le_bytes());
         self.dir.join(format!("graph_{}_{:016x}.bin", ds.abbrev().to_lowercase(), fp.digest()))
     }
 
     fn oag_path(&self, g: &Hypergraph, cfg: &OagConfig, side: Side) -> PathBuf {
-        let mut fp = FnvSink::new();
-        fp.push_bytes(&graph_fingerprint(g).to_le_bytes());
-        fp.push_bytes(format!("{cfg:?}/{side:?}").as_bytes());
+        let mut fp = Fnv64::new();
+        fp.update(&graph_fingerprint(g).to_le_bytes());
+        fp.update(format!("{cfg:?}/{side:?}").as_bytes());
         self.dir.join(format!("oag_{:016x}.bin", fp.digest()))
     }
 
@@ -393,56 +363,31 @@ impl PreprocessCache {
     }
 }
 
+/// A `CHGC` container: the build statistics, then the `CHGO` OAG blob.
 fn write_oag_entry<W: Write>(w: W, oag: &Oag, stats: &OagBuildStats) -> io::Result<()> {
-    let mut w = HashingWriter::new(w);
-    w.write_all(OAG_ENTRY_MAGIC)?;
-    w.write_all(&OAG_ENTRY_VERSION.to_le_bytes())?;
-    w.write_all(&stats.two_hop_steps.to_le_bytes())?;
-    w.write_all(&stats.pairs_considered.to_le_bytes())?;
-    w.write_all(&(stats.edges_kept as u64).to_le_bytes())?;
-    w.write_all(&stats.pivots_skipped.to_le_bytes())?;
-    w.write_all(&(stats.size_bytes as u64).to_le_bytes())?;
-    oag::io::write_binary(oag, &mut w)?;
-    let digest = w.digest();
-    w.into_inner().write_all(&digest.to_le_bytes())
+    write_container(w, OAG_ENTRY_MAGIC, OAG_ENTRY_VERSION, |w| {
+        w.write_all(&stats.two_hop_steps.to_le_bytes())?;
+        w.write_all(&stats.pairs_considered.to_le_bytes())?;
+        w.write_all(&(stats.edges_kept as u64).to_le_bytes())?;
+        w.write_all(&stats.pivots_skipped.to_le_bytes())?;
+        w.write_all(&(stats.size_bytes as u64).to_le_bytes())?;
+        oag::io::write_binary(oag, w)
+    })
 }
 
 fn read_oag_entry<R: Read>(r: R) -> io::Result<(Oag, OagBuildStats)> {
-    let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-    let mut r = HashingReader::new(r);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != OAG_ENTRY_MAGIC {
-        return Err(bad("bad cache entry magic"));
-    }
-    let mut word = [0u8; 4];
-    r.read_exact(&mut word)?;
-    let version = u32::from_le_bytes(word);
-    if version != OAG_ENTRY_VERSION {
-        return Err(bad("unsupported cache entry version"));
-    }
-    let mut u64_field = || -> io::Result<u64> {
-        let mut b = [0u8; 8];
-        r.read_exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    };
-    let stats = OagBuildStats {
-        two_hop_steps: u64_field()?,
-        pairs_considered: u64_field()?,
-        edges_kept: u64_field()? as usize,
-        pivots_skipped: u64_field()?,
-        size_bytes: u64_field()? as usize,
-    };
-    let oag = oag::io::read_binary(&mut r)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let computed = r.digest();
-    let mut trailer = [0u8; 8];
-    r.get_mut().read_exact(&mut trailer)?;
-    let stored = u64::from_le_bytes(trailer);
-    if stored != computed {
-        return Err(bad("cache entry checksum mismatch"));
-    }
-    Ok((oag, stats))
+    read_container(r, OAG_ENTRY_MAGIC, OAG_ENTRY_VERSION, |r| {
+        let stats = OagBuildStats {
+            two_hop_steps: read_u64(r)?,
+            pairs_considered: read_u64(r)?,
+            edges_kept: read_u64(r)? as usize,
+            pivots_skipped: read_u64(r)?,
+            size_bytes: read_u64(r)? as usize,
+        };
+        let oag = oag::io::read_binary(r)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        Ok((oag, stats))
+    })
 }
 
 #[cfg(test)]

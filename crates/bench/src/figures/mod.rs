@@ -47,7 +47,7 @@ pub use sensitivity::{fig17, fig18, fig19, fig20, Fig17, Fig18, Fig19, Fig20};
 pub use statics::{area_table, table1, table2, AreaTable, Table1, Table2};
 
 use crate::cache::PreprocessCache;
-use crate::{ArtifactStore, Memo, Scale};
+use crate::{panic_message, ArtifactStore, Memo, Scale};
 pub use chgraph::System;
 use chgraph::{ExecutionReport, PreparedOags, RunConfig};
 use hyperalgos::{self_check_prepared, try_run_workload_prepared, Workload};
@@ -109,18 +109,6 @@ impl GridOutcome {
     /// `true` when every cell completed.
     pub fn is_complete(&self) -> bool {
         self.failed.is_empty()
-    }
-}
-
-/// Renders a `catch_unwind` payload (typically a `&str` or `String` from
-/// `panic!`) for error reports.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

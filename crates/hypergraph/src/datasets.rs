@@ -58,6 +58,12 @@ impl Dataset {
         }
     }
 
+    /// The dataset whose [`abbrev`](Self::abbrev) is `name`, ignoring
+    /// ASCII case.
+    pub fn from_name(name: &str) -> Option<Dataset> {
+        Dataset::ALL.into_iter().find(|d| d.abbrev().eq_ignore_ascii_case(name))
+    }
+
     /// Full dataset name as in Table II.
     pub fn full_name(self) -> &'static str {
         match self {
@@ -234,6 +240,31 @@ mod tests {
             for h in 0..g.num_hyperedges() {
                 assert!(g.hyperedge_degree(crate::HyperedgeId::from_index(h)) <= 2, "{gd}");
             }
+        }
+    }
+
+    #[test]
+    fn from_name_accepts_every_case_of_each_abbreviation() {
+        for ds in Dataset::ALL {
+            let abbrev = ds.abbrev().as_bytes();
+            for mask in 0..1u32 << abbrev.len() {
+                let spelling: String = abbrev
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &b)| {
+                        let c = b as char;
+                        if mask >> i & 1 == 1 {
+                            c.to_ascii_lowercase()
+                        } else {
+                            c
+                        }
+                    })
+                    .collect();
+                assert_eq!(Dataset::from_name(&spelling), Some(ds), "{spelling:?}");
+            }
+        }
+        for name in ["", "L", "LJX", " LJ", "LiveJournal", "PK"] {
+            assert_eq!(Dataset::from_name(name), None, "{name:?}");
         }
     }
 

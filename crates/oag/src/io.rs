@@ -2,15 +2,16 @@
 //!
 //! OAG construction is the expensive preprocessing step the paper amortizes
 //! across algorithm executions (§IV-A, §VI-G). This module provides the
-//! compact on-disk format a system would cache it in: a magic/version
-//! header, the side tag and `W_min`, then the three raw arrays
-//! (`OAG_offset`, `OAG_edge`, `OAG_weight`) in little-endian, and a
-//! trailing FNV-1a checksum of everything before it so storage corruption
+//! compact on-disk format a system would cache it in: a
+//! [`hypergraph::checksum`] container (magic `CHGO`, so storage corruption
 //! is detected at read time instead of being deserialized into a silently
-//! wrong OAG.
+//! wrong OAG) whose body is the side tag and `W_min`, then the three raw
+//! arrays (`OAG_offset`, `OAG_edge`, `OAG_weight`) in little-endian.
 
 use crate::Oag;
-use hypergraph::checksum::{HashingReader, HashingWriter};
+use hypergraph::checksum::{
+    read_container, read_u32s, write_container, write_u32s, ContainerError,
+};
 use hypergraph::Side;
 use std::error::Error;
 use std::fmt;
@@ -19,9 +20,6 @@ use std::io::{Read, Write};
 const MAGIC: &[u8; 4] = b"CHGO";
 /// The only version [`write_binary`] writes and [`read_binary`] accepts.
 const VERSION: u32 = 2;
-/// Upper bound on a deserialized array length (ids are `u32`, so any real
-/// OAG fits well under this); larger values can only be corruption.
-const MAX_ARRAY_LEN: u64 = 1 << 33;
 
 /// Error returned by [`read_binary`].
 #[derive(Debug)]
@@ -69,31 +67,17 @@ impl From<std::io::Error> for ReadOagError {
     }
 }
 
-fn write_u32s<W: Write>(w: &mut W, values: &[u32]) -> std::io::Result<()> {
-    w.write_all(&(values.len() as u64).to_le_bytes())?;
-    for &v in values {
-        w.write_all(&v.to_le_bytes())?;
+/// Header and length failures are [`ReadOagError::Malformed`].
+impl From<ContainerError> for ReadOagError {
+    fn from(e: ContainerError) -> Self {
+        match e {
+            ContainerError::Io(e) => ReadOagError::Io(e),
+            ContainerError::ChecksumMismatch { stored, computed } => {
+                ReadOagError::ChecksumMismatch { stored, computed }
+            }
+            header => ReadOagError::Malformed(header.to_string()),
+        }
     }
-    Ok(())
-}
-
-fn read_u32s<R: Read>(r: &mut R, what: &str) -> Result<Vec<u32>, ReadOagError> {
-    let mut len8 = [0u8; 8];
-    r.read_exact(&mut len8)?;
-    let len = u64::from_le_bytes(len8);
-    if len > MAX_ARRAY_LEN {
-        return Err(ReadOagError::Malformed(format!(
-            "implausible {what} length {len} (corrupt length field?)"
-        )));
-    }
-    let len = len as usize;
-    let mut out = Vec::with_capacity(len.min(1 << 24));
-    let mut buf = [0u8; 4];
-    for _ in 0..len {
-        r.read_exact(&mut buf)?;
-        out.push(u32::from_le_bytes(buf));
-    }
-    Ok(out)
 }
 
 /// Writes `oag` in the binary format (v2: payload plus trailing FNV-1a
@@ -103,19 +87,16 @@ fn read_u32s<R: Read>(r: &mut R, what: &str) -> Result<Vec<u32>, ReadOagError> {
 ///
 /// Propagates any I/O error from `w`.
 pub fn write_binary<W: Write>(oag: &Oag, w: W) -> std::io::Result<()> {
-    let mut w = HashingWriter::new(w);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&[match oag.side() {
-        Side::Vertex => 0u8,
-        Side::Hyperedge => 1,
-    }])?;
-    w.write_all(&oag.w_min().to_le_bytes())?;
-    write_u32s(&mut w, oag.offsets())?;
-    write_u32s(&mut w, oag.edges())?;
-    write_u32s(&mut w, oag.weights())?;
-    let digest = w.digest();
-    w.into_inner().write_all(&digest.to_le_bytes())
+    write_container(w, MAGIC, VERSION, |w| {
+        w.write_all(&[match oag.side() {
+            Side::Vertex => 0u8,
+            Side::Hyperedge => 1,
+        }])?;
+        w.write_all(&oag.w_min().to_le_bytes())?;
+        write_u32s(w, oag.offsets())?;
+        write_u32s(w, oag.edges())?;
+        write_u32s(w, oag.weights())
+    })
 }
 
 /// Reads an OAG written by [`write_binary`], verifying its trailing
@@ -129,38 +110,25 @@ pub fn write_binary<W: Write>(oag: &Oag, w: W) -> std::io::Result<()> {
 /// the contents, and [`ReadOagError::Io`] for underlying failures
 /// (including truncation).
 pub fn read_binary<R: Read>(r: R) -> Result<Oag, ReadOagError> {
-    let mut r = HashingReader::new(r);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(ReadOagError::Malformed(format!("bad magic {magic:?}")));
-    }
-    let mut ver = [0u8; 4];
-    r.read_exact(&mut ver)?;
-    let version = u32::from_le_bytes(ver);
-    if version != VERSION {
-        return Err(ReadOagError::Malformed(format!("unsupported version {version}")));
-    }
-    let mut side_byte = [0u8; 1];
-    r.read_exact(&mut side_byte)?;
-    let side = match side_byte[0] {
-        0 => Side::Vertex,
-        1 => Side::Hyperedge,
-        other => return Err(ReadOagError::Malformed(format!("bad side tag {other}"))),
-    };
-    let mut wmin4 = [0u8; 4];
-    r.read_exact(&mut wmin4)?;
-    let w_min = u32::from_le_bytes(wmin4);
-    let offsets = read_u32s(&mut r, "offsets")?;
-    let edges = read_u32s(&mut r, "edges")?;
-    let weights = read_u32s(&mut r, "weights")?;
-    let computed = r.digest();
-    let mut trailer = [0u8; 8];
-    r.get_mut().read_exact(&mut trailer)?;
-    let stored = u64::from_le_bytes(trailer);
-    if stored != computed {
-        return Err(ReadOagError::ChecksumMismatch { stored, computed });
-    }
+    let (side, w_min, offsets, edges, weights) = read_container(r, MAGIC, VERSION, |r| {
+        let mut side_byte = [0u8; 1];
+        r.read_exact(&mut side_byte)?;
+        let side = match side_byte[0] {
+            0 => Side::Vertex,
+            1 => Side::Hyperedge,
+            other => return Err(ReadOagError::Malformed(format!("bad side tag {other}"))),
+        };
+        let mut wmin4 = [0u8; 4];
+        r.read_exact(&mut wmin4)?;
+        let w_min = u32::from_le_bytes(wmin4);
+        Ok((
+            side,
+            w_min,
+            read_u32s(r, "offsets")?,
+            read_u32s(r, "edges")?,
+            read_u32s(r, "weights")?,
+        ))
+    })?;
     let Some(&last) = offsets.last() else {
         return Err(ReadOagError::Malformed("empty offsets".into()));
     };

@@ -47,8 +47,8 @@ pub mod reference;
 pub use build::{OagBuildStats, OagConfig};
 pub use chain::ChainSet;
 pub use generate::{
-    generate_chains, generate_chains_observed, generate_chains_observed_with_scratch,
-    generate_chains_with_scratch, ChainConfig, ChainObserver, ChainScratch, NoopObserver,
+    generate_chains, generate_chains_observed_with_scratch, generate_chains_with_scratch,
+    ChainConfig, ChainObserver, ChainScratch, NoopObserver,
 };
 pub use graph::Oag;
 pub use hypergraph::ValidationError;

@@ -12,11 +12,12 @@
 //! +------+---------+-------------+----------------+------------+
 //! ```
 //!
-//! The trailing digest covers everything before it (magic, version, length,
-//! payload) via [`hypergraph::checksum`] — the same integrity scheme as the
-//! v2 on-disk formats — so a truncated, torn or bit-flipped frame is
-//! detected at read time and surfaces as a typed [`ProtoError`] instead of
-//! a garbage request. `payload_len` is bounds-checked before allocation.
+//! A frame is a [`hypergraph::checksum`] container, the same one the
+//! on-disk formats use: the trailing digest covers everything before it
+//! (magic, version, length, payload), so a truncated, torn or bit-flipped
+//! frame is detected at read time and surfaces as a typed [`ProtoError`]
+//! instead of a garbage request. `payload_len` is bounds-checked before
+//! allocation.
 //!
 //! # Schema
 //!
@@ -30,7 +31,7 @@
 
 use crate::json::{self, Json};
 pub use chg_bench::ArtifactCounters;
-use hypergraph::checksum::{HashingReader, HashingWriter};
+use hypergraph::checksum::{read_container, read_len, write_container, ContainerError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -97,20 +98,32 @@ impl From<io::Error> for ProtoError {
     }
 }
 
+/// A length above [`MAX_FRAME_BYTES`] is [`ProtoError::Oversize`].
+impl From<ContainerError> for ProtoError {
+    fn from(e: ContainerError) -> Self {
+        match e {
+            ContainerError::Io(e) => ProtoError::Io(e),
+            ContainerError::Magic(_) => ProtoError::Magic,
+            ContainerError::Version(v) => ProtoError::Version(v),
+            ContainerError::ImplausibleLength { len, .. } => ProtoError::Oversize(len),
+            ContainerError::ChecksumMismatch { stored, computed } => {
+                ProtoError::ChecksumMismatch { stored, computed }
+            }
+        }
+    }
+}
+
 fn schema_err<T>(msg: impl Into<String>) -> Result<T, ProtoError> {
     Err(ProtoError::Schema(msg.into()))
 }
 
-/// Writes one checksummed frame carrying `payload`.
+/// Writes one checksummed frame carrying `payload`: five `write_all`
+/// calls (magic, version, length, payload, trailer) and a flush.
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
-    let bytes = payload.as_bytes();
-    let mut hw = HashingWriter::new(&mut *w);
-    hw.write_all(FRAME_MAGIC)?;
-    hw.write_all(&PROTO_VERSION.to_le_bytes())?;
-    hw.write_all(&(bytes.len() as u64).to_le_bytes())?;
-    hw.write_all(bytes)?;
-    let digest = hw.digest();
-    w.write_all(&digest.to_le_bytes())?;
+    write_container(&mut *w, FRAME_MAGIC, PROTO_VERSION, |w| {
+        w.write_all(&(payload.len() as u64).to_le_bytes())?;
+        w.write_all(payload.as_bytes())
+    })?;
     w.flush()
 }
 
@@ -118,33 +131,11 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
 /// version skew, implausible lengths, truncation and corruption before any
 /// byte of the payload is interpreted.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<String, ProtoError> {
-    let mut hr = HashingReader::new(r);
-    let mut magic = [0u8; 4];
-    hr.read_exact(&mut magic)?;
-    if &magic != FRAME_MAGIC {
-        return Err(ProtoError::Magic);
-    }
-    let mut word = [0u8; 4];
-    hr.read_exact(&mut word)?;
-    let version = u32::from_le_bytes(word);
-    if version != PROTO_VERSION {
-        return Err(ProtoError::Version(version));
-    }
-    let mut len_bytes = [0u8; 8];
-    hr.read_exact(&mut len_bytes)?;
-    let len = u64::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_BYTES {
-        return Err(ProtoError::Oversize(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    hr.read_exact(&mut payload)?;
-    let computed = hr.digest();
-    let mut trailer = [0u8; 8];
-    hr.get_mut().read_exact(&mut trailer)?;
-    let stored = u64::from_le_bytes(trailer);
-    if stored != computed {
-        return Err(ProtoError::ChecksumMismatch { stored, computed });
-    }
+    let payload = read_container(r, FRAME_MAGIC, PROTO_VERSION, |r| -> Result<_, ProtoError> {
+        let mut payload = vec![0u8; read_len(r, MAX_FRAME_BYTES, "frame payload")?];
+        r.read_exact(&mut payload)?;
+        Ok(payload)
+    })?;
     String::from_utf8(payload).map_err(|e| ProtoError::Json(e.to_string()))
 }
 
@@ -1033,6 +1024,46 @@ mod tests {
             Err(ProtoError::Oversize(n)) => assert_eq!(n, u64::MAX),
             other => panic!("expected Oversize, got {other:?}"),
         }
+    }
+
+    /// Counts the `read`/`write` calls that reach a socket.
+    #[derive(Default)]
+    struct Calls {
+        bytes: Vec<u8>,
+        pos: usize,
+        calls: usize,
+    }
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for Calls {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = (&self.bytes[self.pos..]).read(buf)?;
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_frame_is_five_writes_and_five_reads() {
+        // Frames go to an unbuffered TCP_NODELAY socket, where every call
+        // is a system call.
+        let mut socket = Calls::default();
+        send(&mut socket, &Request::Run(sample_run_request())).unwrap();
+        assert_eq!(socket.calls, 5, "magic, version, length, payload, trailer");
+        socket.calls = 0;
+        assert_eq!(recv::<_, Request>(&mut socket).unwrap(), Request::Run(sample_run_request()));
+        assert_eq!(socket.calls, 5);
     }
 
     #[test]

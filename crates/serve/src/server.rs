@@ -30,7 +30,7 @@ use crate::proto::{
     Request, Response, RunRequest, StatsReport,
 };
 use crate::stats::{CloseCause, Counters, LatencyHistogram};
-use chg_bench::{ArtifactStore, Fetch, Memo, PreprocessCache, Scale};
+use chg_bench::{panic_message, ArtifactStore, Fetch, Memo, PreprocessCache, Scale};
 use chgraph::{ExecutionReport, RunConfig, System, WatchdogConfig};
 use hyperalgos::{self_check_prepared, try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
@@ -527,12 +527,7 @@ fn execute_isolated(request: &RunRequest, shared: &Shared) -> Response {
     match catch_unwind(AssertUnwindSafe(|| execute_run(request, shared))) {
         Ok(response) => response,
         Err(payload) => {
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into());
-            Response::Error { kind: ErrorKind::InternalPanic, message }
+            Response::Error { kind: ErrorKind::InternalPanic, message: panic_message(payload) }
         }
     }
 }
@@ -589,9 +584,7 @@ fn execute_run(request: &RunRequest, shared: &Shared) -> Response {
     let Some(system) = System::from_name(&request.runtime) else {
         return bad(format!("unknown runtime {:?}", request.runtime));
     };
-    let Some(dataset) =
-        Dataset::ALL.into_iter().find(|d| d.abbrev().eq_ignore_ascii_case(&request.dataset))
-    else {
+    let Some(dataset) = Dataset::from_name(&request.dataset) else {
         return bad(format!("unknown dataset {:?}", request.dataset));
     };
     let cfg = match build_run_config(request, shared) {

@@ -17,6 +17,7 @@
 //! so scripted consumers are agnostic to where a run executed.
 
 use archsim::SystemConfig;
+use chg_bench::panic_message;
 use chg_serve::WireMessage;
 use chgraph::{RunConfig, System};
 use hyperalgos::{self_check_prepared, try_run_workload_prepared, Workload};
@@ -132,10 +133,7 @@ fn flag_on(flags: &HashMap<String, String>, key: &str) -> bool {
 
 fn load_input(flags: &HashMap<String, String>) -> Result<Hypergraph, String> {
     if let Some(ds) = flags.get("dataset") {
-        let dataset = Dataset::ALL
-            .into_iter()
-            .find(|d| d.abbrev().eq_ignore_ascii_case(ds))
-            .ok_or_else(|| format!("unknown dataset {ds:?}"))?;
+        let dataset = Dataset::from_name(ds).ok_or_else(|| format!("unknown dataset {ds:?}"))?;
         return Ok(dataset.load());
     }
     if let Some(path) = flags.get("input") {
@@ -417,12 +415,7 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into());
-            eprintln!("error: internal panic: {msg}");
+            eprintln!("error: internal panic: {}", panic_message(payload));
             ExitCode::FAILURE
         }
     }
