@@ -139,25 +139,31 @@ impl SystemConfig {
         self
     }
 
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any cache geometry is degenerate, the NoC cannot address
-    /// every core/bank, or a zero count is configured.
-    pub fn validate(&self) {
-        assert!(self.num_cores > 0, "need at least one core");
-        assert!(self.line_bytes.is_power_of_two(), "line size must be a power of two");
-        let _ = self.l1.num_sets(self.line_bytes);
-        let _ = self.l2.num_sets(self.line_bytes);
-        let _ = self.l3.num_sets(self.line_bytes) / self.l3_banks.max(1);
-        assert!(self.l3_banks > 0, "need at least one L3 bank");
-        assert!(self.dram.controllers > 0, "need at least one memory controller");
-        assert!(
+    /// Validates internal consistency: every count is non-zero, every
+    /// cache level (one L3 bank for the L3) has a power-of-two number of
+    /// sets, and the mesh has a node for every core and bank. `Err` names
+    /// the first violated rule. The core count is a runtime input (the
+    /// CLI's `--cores`, a daemon request's `cores`), so this never panics.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let check = |ok: bool, reason| if ok { Ok(()) } else { Err(reason) };
+        check(self.num_cores > 0, "need at least one core")?;
+        check(self.line_bytes.is_power_of_two(), "line size must be a power of two")?;
+        check(self.l3_banks > 0, "need at least one L3 bank")?;
+        let mut bank = self.l3;
+        bank.size_bytes /= self.l3_banks;
+        for level in [self.l1, self.l2, bank] {
+            let sets = level.size_bytes / (level.ways.max(1) * self.line_bytes);
+            check(
+                level.ways > 0 && sets.is_power_of_two(),
+                "every cache level needs a non-zero, power-of-two set count",
+            )?;
+        }
+        check(self.dram.controllers > 0, "need at least one memory controller")?;
+        check(
             self.noc.width * self.noc.height >= self.num_cores.max(self.l3_banks),
-            "mesh must be large enough for cores and banks"
-        );
-        assert!(self.mlp >= 1, "MLP divisor must be at least 1");
+            "mesh must be large enough for cores and banks",
+        )?;
+        check(self.mlp >= 1, "MLP divisor must be at least 1")
     }
 }
 
@@ -174,7 +180,7 @@ mod tests {
     #[test]
     fn paper_config_matches_table1() {
         let c = SystemConfig::paper();
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.num_cores, 16);
         assert_eq!(c.l1.size_bytes, 32 * 1024);
         assert_eq!(c.l1.latency, 3);
@@ -191,7 +197,7 @@ mod tests {
     fn scaled_keeps_latencies() {
         let p = SystemConfig::paper();
         let s = SystemConfig::scaled(16);
-        s.validate();
+        assert_eq!(s.validate(), Ok(()));
         assert_eq!(s.l1.latency, p.l1.latency);
         assert_eq!(s.l2.latency, p.l2.latency);
         assert_eq!(s.l3.latency, p.l3.latency);
@@ -209,15 +215,14 @@ mod tests {
         let c = SystemConfig::scaled16().with_llc_bytes(1 << 20).with_cores(4);
         assert_eq!(c.l3.size_bytes, 1 << 20);
         assert_eq!(c.num_cores, 4);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "mesh must be large enough")]
     fn validate_rejects_small_mesh() {
         let mut c = SystemConfig::paper();
         c.noc.width = 2;
         c.noc.height = 2;
-        c.validate();
+        assert_eq!(c.validate(), Err("mesh must be large enough for cores and banks"));
     }
 }

@@ -37,6 +37,13 @@ pub struct AccessResult {
 /// A [`SystemConfig`] the machine model cannot simulate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MachineConfigError {
+    /// The configuration fails [`SystemConfig::validate`] (a zero count,
+    /// a degenerate cache geometry, a mesh too small for its cores and
+    /// banks).
+    Invalid {
+        /// The first rule the configuration violates.
+        reason: &'static str,
+    },
     /// The sharer directory tracks private-cache copies in a `u32` bitmask,
     /// one bit per core; configurations beyond that width cannot model
     /// coherence.
@@ -51,6 +58,7 @@ pub enum MachineConfigError {
 impl std::fmt::Display for MachineConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            MachineConfigError::Invalid { reason } => f.write_str(reason),
             MachineConfigError::TooManyCores { num_cores, max_cores } => write!(
                 f,
                 "directory bitmask supports up to {max_cores} cores (configured: {num_cores})"
@@ -96,23 +104,17 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`SystemConfig::validate`] or
-    /// [`Machine::try_new`] rejects it.
+    /// Panics if [`Machine::try_new`] rejects the configuration.
     pub fn new(cfg: SystemConfig, map: AddressMap) -> Self {
         Machine::try_new(cfg, map).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Builds the machine, returning a typed [`MachineConfigError`] for
-    /// configurations the model structurally cannot simulate (today: more
-    /// cores than the sharer directory's `u32` bitmask can track).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SystemConfig::validate`]
-    /// (degenerate cache geometry, undersized mesh, zero counts) — those
-    /// are programming errors, not runtime inputs.
+    /// configurations that fail [`SystemConfig::validate`] and for those
+    /// the model structurally cannot simulate (more cores than the sharer
+    /// directory's `u32` bitmask can track).
     pub fn try_new(cfg: SystemConfig, map: AddressMap) -> Result<Self, MachineConfigError> {
-        cfg.validate();
+        cfg.validate().map_err(|reason| MachineConfigError::Invalid { reason })?;
         const MAX_DIRECTORY_CORES: usize = u32::BITS as usize;
         if cfg.num_cores > MAX_DIRECTORY_CORES {
             return Err(MachineConfigError::TooManyCores {

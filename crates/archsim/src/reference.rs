@@ -6,8 +6,7 @@
 //! `reference-kernels` feature — as the behavioural oracle: the identity
 //! test suite replays random access streams through both implementations
 //! and asserts every [`CacheAccess`] result and the resident-line census
-//! are bit-identical, and the `hotpath` benchmark measures the speedup of
-//! the flat layout against this baseline.
+//! are bit-identical.
 
 use crate::{CacheAccess, CacheConfig};
 

@@ -9,8 +9,7 @@
 //! Compiled only under `cfg(test)` or the `reference-kernels` feature.
 //! The workspace identity suite proves the optimized kernels produce
 //! byte-identical [`Oag`]s / [`ChainSet`]s / build statistics against
-//! these, across random geometries and datasets; the
-//! `hotpath` benchmark reports the speedup over them.
+//! these, across random geometries and datasets.
 
 use crate::{ChainConfig, ChainObserver, ChainSet, NoopObserver, Oag, OagBuildStats, OagConfig};
 use hypergraph::{Frontier, Hypergraph, Side};

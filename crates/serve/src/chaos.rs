@@ -26,6 +26,7 @@
 //! failure modes the serving layer claims to survive, nothing stochastic at
 //! run time.
 
+use crate::client::splitmix64;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -128,15 +129,6 @@ pub struct FaultEvent {
     pub conn_index: u64,
     /// The plan that connection was given.
     pub plan: FaultPlan,
-}
-
-/// splitmix64: tiny, seedable, statistically fine for schedules.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The fault plan for connection `conn_index` under `policy` — a pure

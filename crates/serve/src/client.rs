@@ -288,9 +288,9 @@ pub struct RetryOutcome {
     pub backoff_total: Duration,
 }
 
-/// splitmix64 — the same tiny deterministic generator the data generators
-/// use; good enough statistics for jitter, zero dependencies.
-fn splitmix64(state: &mut u64) -> u64 {
+/// splitmix64: a tiny, seedable generator with statistics good enough for
+/// retry jitter and the chaos proxy's fault plans, and no dependencies.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -500,8 +500,8 @@ wire_enum! {
         InvalidChainCover => "invalid-chain-cover",
         /// The result differed from the naive reference.
         SelfCheckFailed => "self-check-failed",
-        /// The request named an unknown workload, runtime or dataset, asked
-        /// for an unusable configuration, or reused a `request_key`.
+        /// The request named an unknown workload, runtime or dataset, or
+        /// reused a `request_key`.
         BadRequest => "bad-request",
         /// The service is draining and accepts no new runs.
         ShuttingDown => "shutting-down",

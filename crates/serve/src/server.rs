@@ -32,7 +32,7 @@ use crate::proto::{
 use crate::stats::{CloseCause, Counters, LatencyHistogram};
 use chg_bench::{panic_message, ArtifactStore, Fetch, Memo, PreprocessCache, Scale};
 use chgraph::{ExecutionReport, RunConfig, System, WatchdogConfig};
-use hyperalgos::{self_check_prepared, try_run_workload_prepared, Workload};
+use hyperalgos::{self_check_prepared, try_run_workload_prepared, SelfCheckError, Workload};
 use hypergraph::datasets::Dataset;
 use std::collections::VecDeque;
 use std::io::{self, Read};
@@ -551,14 +551,12 @@ fn merged_watchdog(service: WatchdogConfig, request: &RunRequest) -> WatchdogCon
     }
 }
 
-/// Builds the library-level [`RunConfig`] for a request; `Err` is a
-/// bad-request message.
-fn build_run_config(request: &RunRequest, shared: &Shared) -> Result<RunConfig, String> {
+/// Builds the library-level [`RunConfig`] for a request. A machine the
+/// simulator cannot build (say, `cores: 0`) is rejected by the run itself
+/// as an invalid config.
+fn build_run_config(request: &RunRequest, shared: &Shared) -> RunConfig {
     let mut cfg = RunConfig::new();
     if let Some(cores) = request.cores {
-        if cores == 0 {
-            return Err("cores must be >= 1".into());
-        }
         cfg = cfg.with_system(archsim::SystemConfig::scaled(cores));
     }
     if let Some(w) = request.wmin {
@@ -572,7 +570,7 @@ fn build_run_config(request: &RunRequest, shared: &Shared) -> Result<RunConfig, 
     }
     cfg.validate = request.validate;
     cfg.watchdog = merged_watchdog(shared.cfg.default_watchdog, request);
-    Ok(cfg)
+    cfg
 }
 
 /// The uninsulated run path (inside `catch_unwind`).
@@ -587,10 +585,7 @@ fn execute_run(request: &RunRequest, shared: &Shared) -> Response {
     let Some(dataset) = Dataset::from_name(&request.dataset) else {
         return bad(format!("unknown dataset {:?}", request.dataset));
     };
-    let cfg = match build_run_config(request, shared) {
-        Ok(cfg) => cfg,
-        Err(msg) => return bad(msg),
-    };
+    let cfg = build_run_config(request, shared);
     let scale = Scale(request.scale);
 
     // Phase 1: artifact preparation (LRU → disk cache → build).
@@ -618,6 +613,8 @@ fn execute_run(request: &RunRequest, shared: &Shared) -> Response {
         let outcome = if request.self_check {
             match self_check_prepared(workload, &system, &graph, &cfg, prepared.as_deref()) {
                 Ok(checked) => Ok(checked.report),
+                // The run itself failed: the same kind an unchecked run gets.
+                Err(SelfCheckError::Exec(e)) => Err(error_response(&e)),
                 Err(e) => Err(Response::Error {
                     kind: ErrorKind::SelfCheckFailed,
                     message: e.to_string(),

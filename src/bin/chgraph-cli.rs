@@ -175,6 +175,8 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<(), String> {
         cfg = cfg.with_max_cycles(n.parse().map_err(|_| "bad --max-cycles")?);
     }
     if flag_on(&flags, "partition") {
+        // Partitioning needs the core count before the run builds the machine.
+        cfg.system.validate().map_err(|e| format!("invalid run configuration: {e}"))?;
         let parts = hypergraph::partition::streaming_partition(&g, cfg.system.num_cores);
         let (reordered, _) = hypergraph::partition::apply_hyperedge_partition(&g, &parts);
         g = reordered;

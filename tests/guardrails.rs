@@ -252,18 +252,28 @@ fn chain_runtimes_honor_budgets_and_deep_validation_together() {
     }
 }
 
+/// Machines the simulator cannot build are typed config errors, not
+/// panics: more cores than the sharer directory tracks, and core counts
+/// that are runtime inputs (`--cores`, a request's `cores`) but leave the
+/// scaled machine with no core or more cores than its 4×4 mesh has nodes.
 #[test]
 fn unsimulatable_machine_configs_are_typed_errors() {
     let g = GeneratorConfig::new(64, 32).with_seed(13).generate();
-    let mut cfg = RunConfig::new().with_system(archsim::SystemConfig::scaled(32));
-    cfg.system.num_cores = 33;
-    cfg.system.noc.width = 6;
-    cfg.system.noc.height = 6;
-    match System::Hygra.run(&g, &hyperalgos::ConnectedComponents, &cfg, None) {
-        Err(ExecError::InvalidConfig(msg)) => {
-            assert!(msg.contains("directory bitmask supports up to 32 cores"), "{msg}");
+    let mut too_wide = archsim::SystemConfig::scaled(33);
+    too_wide.noc.width = 6;
+    too_wide.noc.height = 6;
+    for (system, reason) in [
+        (too_wide, "directory bitmask supports up to 32 cores"),
+        (archsim::SystemConfig::scaled(0), "need at least one core"),
+        (archsim::SystemConfig::scaled(17), "mesh must be large enough"),
+    ] {
+        let cfg = RunConfig::new().with_system(system);
+        for sys in [System::Hygra, System::ChGraph] {
+            match sys.run(&g, &hyperalgos::ConnectedComponents, &cfg, None) {
+                Err(ExecError::InvalidConfig(msg)) => assert!(msg.contains(reason), "{msg}"),
+                other => panic!("{}, {reason}: expected InvalidConfig, got {other:?}", sys.name()),
+            }
         }
-        other => panic!("expected InvalidConfig, got {other:?}"),
     }
 }
 

@@ -10,9 +10,10 @@
 //! (directed hypergraphs count in full and mirror nothing). These
 //! properties replay random inputs through both implementations and
 //! assert the outputs — including full observer event streams and
-//! statistics — are bit-identical, undirected and directed, so the
-//! committed `BENCH_hotpath.json` speedups are speedups of *the same
-//! function*, not of a subtly different one. The simulator and the
+//! statistics — are bit-identical, undirected and directed, at the
+//! simulated machine's own geometries (8- and 16-way caches, 16 cores'
+//! L1s or 16 L3 banks, 16 per-core chunks) as well as degenerate ones;
+//! the OAG build is also diffed on every dataset. The simulator and the
 //! dataset generator are pinned whole, by golden fingerprints and golden
 //! CSR digests recorded before their rewrites.
 
@@ -92,6 +93,11 @@ fn arb_oag_config() -> impl Strategy<Value = OagConfig> {
     })
 }
 
+/// Cache associativities the cache properties draw from: small ones
+/// (direct-mapped to 4-way) beside the simulated machine's 8-way L1/L2 and
+/// 16-way L3 (`archsim::SystemConfig::paper`).
+const WAYS: [usize; 6] = [1, 2, 3, 4, 8, 16];
+
 /// Cases per property: 48 by default, `PROPTEST_CASES` to run more (CI's
 /// release-mode pass).
 fn cases() -> u32 {
@@ -107,13 +113,13 @@ proptest! {
     /// flat cache's `u32` LRU-stamp wrap (the reference's `u64` clock never
     /// wraps, so any compaction artifact diverges immediately).
     fn cache_streams_are_identical(
-        geometry in (0usize..5, 1usize..5),
+        geometry in (0usize..5, 0usize..WAYS.len()),
         ops in prop::collection::vec((0u64..(1 << 14), 0u32..16, any::<bool>()), 1..600),
         // `wrap_at >= 600` (half the range) means the stream never wraps.
         wrap_at in 0usize..1200,
         wrap_back in 0u32..4,
     ) {
-        let (set_pow, ways) = geometry;
+        let (set_pow, ways) = (geometry.0, WAYS[geometry.1]);
         let cfg = archsim::CacheConfig {
             size_bytes: 64 * ways * (1 << set_pow),
             ways,
@@ -143,21 +149,22 @@ proptest! {
 
     /// The instances of one cache array are independent caches: a random
     /// stream of accesses, probes, invalidations and dirty marks spread
-    /// over 1–8 instances, crossing the array's shared LRU-clock wrap,
+    /// over 1–16 instances (a machine level: 16 cores' L1s or 16 L3
+    /// banks), crossing the array's shared LRU-clock wrap,
     /// gives each instance exactly the results of its own nested reference
     /// cache fed only that instance's ops, down to the final census.
     fn cache_instances_are_isolated(
-        geometry in (0usize..5, 1usize..5),
-        count in 1usize..9,
+        geometry in (0usize..5, 0usize..WAYS.len()),
+        count in 1usize..17,
         ops in prop::collection::vec(
-            (0usize..8, 0u64..(1 << 14), 0u32..16, any::<bool>()),
+            (0usize..16, 0u64..(1 << 14), 0u32..16, any::<bool>()),
             1..800,
         ),
         // `wrap_at >= 800` (half the range) means the stream never wraps.
         wrap_at in 0usize..1600,
         wrap_back in 0u32..4,
     ) {
-        let (set_pow, ways) = geometry;
+        let (set_pow, ways) = (geometry.0, WAYS[geometry.1]);
         let cfg = archsim::CacheConfig {
             size_bytes: 64 * ways * (1 << set_pow),
             ways,
@@ -216,13 +223,14 @@ proptest! {
     }
 
     /// Chain generation with a *reused* scratch — history from previous
-    /// cases, chunked ranges, sparse frontiers — matches both the reference
-    /// walk and the allocating entry point.
+    /// cases, chunked ranges up to the driver's 16 per-core chunks, sparse
+    /// frontiers — matches both the reference walk and the allocating
+    /// entry point.
     fn chain_generation_is_identical(
         g in arb_hypergraph(),
         d_max in 1usize..20,
         keep in prop::collection::vec(any::<bool>(), 1..40),
-        cores in 1u32..5,
+        cores in 1u32..17,
         epoch_back in 0u32..4,
     ) {
         let n = g.num_hyperedges() as u32;
@@ -245,6 +253,26 @@ proptest! {
                 generate_chains_with_scratch(&oag, &frontier, range.clone(), &cfg, &mut scratch);
             prop_assert_eq!(&fresh, &want);
             prop_assert_eq!(&reused, &want);
+        }
+    }
+}
+
+/// The half-counting OAG build == the reference full two-hop walk, graph
+/// and stats, on every dataset at the daemon's serve scale, at the paper's
+/// `W_min = 3` and the heaviest-row `W_min = 1`, both sides.
+#[test]
+fn oag_builds_match_the_reference_on_every_dataset() {
+    use hypergraph::datasets::Dataset;
+    for ds in Dataset::ALL {
+        let g = chg_bench::load_scaled(ds, chg_bench::Scale(0.05));
+        for w_min in [1, 3] {
+            let cfg = OagConfig::new().with_w_min(w_min);
+            for side in [Side::Hyperedge, Side::Vertex] {
+                let (want, want_stats) = oag::reference::build_with_stats(&cfg, &g, side);
+                let (got, got_stats) = cfg.build_with_stats(&g, side);
+                assert!(got == want, "{ds} W_min {w_min} {side:?}: graph");
+                assert_eq!(got_stats, want_stats, "{ds} W_min {w_min} {side:?}: stats");
+            }
         }
     }
 }

@@ -214,6 +214,35 @@ fn runs_after_shutdown_are_rejected_as_draining() {
     handle.join().expect("server thread").expect("clean exit");
 }
 
+/// A request's `cores` is a runtime input: a machine the simulator cannot
+/// build (20 cores on the scaled machine's 4×4 mesh, or none) is answered
+/// `invalid-config` with the reason, checked or not, and the worker
+/// survives to serve the next request.
+#[test]
+fn unbuildable_core_counts_are_answered_invalid_config() {
+    let (addr, handle) = start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let mut client = connect(addr);
+    for (cores, self_check, reason) in [
+        (20, false, "mesh must be large enough"),
+        (20, true, "mesh must be large enough"),
+        (0, false, "need at least one core"),
+    ] {
+        let mut req = base_request();
+        req.cores = Some(cores);
+        req.self_check = self_check;
+        match client.run(req) {
+            Err(ClientError::Server { kind, message }) => {
+                assert_eq!(kind, ErrorKind::InvalidConfig, "{cores} cores: {message}");
+                assert!(message.contains(reason), "{cores} cores: {message}");
+            }
+            other => panic!("{cores} cores: expected invalid-config, got {other:?}"),
+        }
+    }
+    client.run(base_request()).expect("the worker still serves");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean exit");
+}
+
 // ---------------------------------------------------------------------------
 // Protocol robustness: fault-injected frames
 // ---------------------------------------------------------------------------
