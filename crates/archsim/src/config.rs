@@ -65,7 +65,8 @@ pub struct SystemConfig {
     pub l1: CacheConfig,
     /// Per-core L2 cache (inclusive of L1).
     pub l2: CacheConfig,
-    /// Shared banked L3 (inclusive of all L2s).
+    /// Shared banked L3; whether it is inclusive of the L2s is
+    /// [`l3_inclusive`](Self::l3_inclusive).
     pub l3: CacheConfig,
     /// Number of L3 banks, interleaved by line address.
     pub l3_banks: usize,

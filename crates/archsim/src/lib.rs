@@ -19,10 +19,11 @@
 //! - [`AddressMap`] / [`Region`] — logical data-array layout; every access
 //!   names the array it touches, which is how the per-array breakdown of
 //!   Fig. 15 is produced;
-//! - [`Machine`] — per-core private L1/L2 (inclusive), shared banked
-//!   inclusive L3 with an in-cache-directory MESI-lite invalidation model,
-//!   a 4×4 mesh NoC latency model, and DDR memory controllers with
-//!   queueing contention;
+//! - [`Machine`] — per-core private L1/L2 (inclusive), shared banked L3
+//!   (inclusive for Table I's machine, non-inclusive for the scaled one;
+//!   [`SystemConfig::l3_inclusive`]) with a directory MESI-lite
+//!   invalidation model, a 4×4 mesh NoC latency model, and DDR memory
+//!   controllers with queueing contention;
 //! - [`CoreTimer`] — a simple decoupled core cost model: compute cycles plus
 //!   memory stalls shortened by a memory-level-parallelism factor;
 //! - [`MemStats`] / [`EnergyModel`] — access accounting and the

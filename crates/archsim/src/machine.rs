@@ -1,5 +1,6 @@
-//! The simulated machine: private L1/L2 per core, shared banked inclusive
-//! L3 with directory-based invalidation, mesh NoC, and DRAM controllers.
+//! The simulated machine: private L1/L2 per core, shared banked L3
+//! (inclusive or not, per [`SystemConfig::l3_inclusive`]) with
+//! directory-based invalidation, mesh NoC, and DRAM controllers.
 
 use crate::{AddressMap, Cache, DramModel, MemStats, MeshNoc, Region, SystemConfig};
 
@@ -10,7 +11,8 @@ pub enum Level {
     L1 = 0,
     /// Private per-core L2 (inclusive of L1).
     L2 = 1,
-    /// Shared banked L3 (inclusive of all L2s).
+    /// Shared banked L3 (inclusive of the L2s when
+    /// [`SystemConfig::l3_inclusive`] is set).
     L3 = 2,
     /// Main memory.
     Mem = 3,

@@ -1,11 +1,12 @@
-//! On-disk preprocessing cache for the figure harness.
+//! On-disk preprocessing cache behind the [`ArtifactStore`](crate::ArtifactStore)
+//! that the figure harness and the serving daemon share.
 //!
 //! OAG construction dominates harness start-up (it is the preprocessing the
 //! paper amortizes across algorithm executions, §VI-G); the stand-in
 //! datasets themselves are also regenerated on every invocation. This cache
-//! persists both artifacts between `figures` runs using the existing binary
-//! codecs (`hypergraph::io`, `oag::io`), so a repeated invocation skips
-//! straight to simulation.
+//! persists both artifacts between `figures` runs and daemon restarts using
+//! the existing binary codecs (`hypergraph::io`, `oag::io`), so a repeated
+//! invocation skips straight to simulation.
 //!
 //! Correctness: cache keys are FNV-1a fingerprints of the *content* that
 //! produced an artifact — for graphs the generator configuration and scale,

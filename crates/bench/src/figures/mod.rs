@@ -7,22 +7,23 @@
 //!
 //! # Parallel evaluation
 //!
-//! The `(dataset, workload, system)` cells of the evaluation grid are
-//! independent cycle-level simulations, so the harness fans them out across
-//! worker threads ([`Harness::prefetch`], [`Harness::run_batch`]) with
-//! single-flight memoization: each key is computed exactly once no matter
-//! how many workers race for it, and every simulation itself is a pure
-//! function of its key plus the harness configuration. Figures are emitted
-//! serially from the warmed memo, so **output is bit-identical for any
-//! thread count** — parallelism only changes wall-clock time. See
-//! DESIGN.md §"Parallel evaluation".
+//! The `(dataset, workload, system)` cells of the evaluation grid and the
+//! points of the sensitivity sweeps are independent cycle-level
+//! simulations, so the harness fans them out across worker threads
+//! ([`Harness::prefetch`], [`Harness::run_batch`]) and collects the results
+//! in job order. Grid cells go through a single-flight memo: each key is
+//! computed exactly once no matter how many workers race for it, and every
+//! simulation itself is a pure function of its key plus the harness
+//! configuration. Figures are emitted serially, so **output is
+//! bit-identical for any thread count** — parallelism only changes
+//! wall-clock time. See DESIGN.md §"Parallel evaluation".
 //!
 //! # Fault tolerance
 //!
-//! Each grid cell runs under `catch_unwind` with one retry, so a panicking
-//! workload cannot abort the rest of a multi-hour grid: the failing cell is
-//! recorded as a [`CellError`] (see [`Harness::prefetch`]'s [`GridOutcome`]
-//! and [`Harness::cell_failures`]) while every other cell completes with
+//! Every cell, memoized or not, runs under `catch_unwind` with one retry,
+//! so a panicking workload cannot abort the rest of a multi-hour grid: the
+//! failing cell is recorded as a [`CellError`] (see
+//! [`Harness::cell_failures`]) while every other cell completes with
 //! bit-identical output. Memo tables recover from mutex poisoning instead
 //! of propagating it, and failures are *not* memoized — a later attempt of
 //! the same cell may succeed (e.g. after a transient fault). See DESIGN.md
@@ -43,7 +44,7 @@ pub use energy::{energy, EnergyFigure};
 pub use main_results::{fig14, fig15, fig16, fig22, Fig14, Fig15, Fig16, Fig22};
 pub use motivation::{fig2, fig3, fig5, fig7, fig8, Fig2, Fig3, Fig5, Fig7, Fig8};
 pub use preprocessing::{fig21, Fig21};
-pub use sensitivity::{fig17, fig18, fig19, fig20, Fig17, Fig18, Fig19, Fig20};
+pub use sensitivity::{fig17, fig18, fig19, fig20, Fig17, Fig18, Fig19, Fig20, Sweep, SweepSample};
 pub use statics::{area_table, table1, table2, AreaTable, Table1, Table2};
 
 use crate::cache::PreprocessCache;
@@ -53,7 +54,6 @@ use chgraph::{ExecutionReport, PreparedOags, RunConfig};
 use hyperalgos::{self_check_prepared, try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
 use hypergraph::Hypergraph;
-use std::collections::HashSet;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,8 +66,9 @@ pub type Job = (Dataset, Workload, System);
 /// failed: one retry, so a cell is tried at most twice.
 const CELL_RETRIES: u32 = 1;
 
-/// A cell of the evaluation grid that panicked (workload bug, resource
-/// exhaustion, injected fault) after all retries.
+/// A cell that panicked (workload bug, resource exhaustion, guard trip,
+/// injected fault) after all retries. A sweep point is named by its
+/// `(dataset, workload, system)` like a grid cell.
 #[derive(Clone, Debug)]
 pub struct CellError {
     /// The `(dataset, workload, system)` cell that failed.
@@ -90,25 +91,6 @@ impl fmt::Display for CellError {
             self.attempts,
             self.message
         )
-    }
-}
-
-/// Structured result of warming an evaluation grid: how many cells
-/// completed, and a per-cell error for every cell that kept panicking
-/// after its retry. One bad cell no longer kills the run — the caller
-/// decides whether partial results are acceptable.
-#[derive(Clone, Debug, Default)]
-pub struct GridOutcome {
-    /// Number of distinct cells whose report is now memoized.
-    pub completed: usize,
-    /// Cells that failed even after retrying, in job-submission order.
-    pub failed: Vec<CellError>,
-}
-
-impl GridOutcome {
-    /// `true` when every cell completed.
-    pub fn is_complete(&self) -> bool {
-        self.failed.is_empty()
     }
 }
 
@@ -189,7 +171,8 @@ impl Harness {
     /// ([`hyperalgos::self_check_prepared`]), and a divergence fails the cell.
     /// Reports are bit-identical either way; a failing cell surfaces as a
     /// [`CellError`] through the usual fault-isolation machinery (retried
-    /// once, recorded in the [`GridOutcome`]) instead of aborting the grid.
+    /// once, recorded in [`cell_failures`](Self::cell_failures)) instead of
+    /// aborting the grid.
     pub fn with_self_check(mut self, on: bool) -> Self {
         self.self_check = on;
         self
@@ -240,9 +223,9 @@ impl Harness {
         self.try_report(ds, workload, sys).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fault-isolated variant of [`report`](Self::report): the simulation
-    /// runs under `catch_unwind`, a panicking cell is retried once, and a
-    /// cell that still fails yields a [`CellError`] (also recorded in
+    /// Fault-isolated variant of [`report`](Self::report): the cell runs
+    /// under `catch_unwind` and is retried once, and a cell that still
+    /// fails yields a [`CellError`] (also recorded in
     /// [`cell_failures`](Self::cell_failures)) instead of unwinding into
     /// the caller. Failures are not memoized, so a later call may succeed.
     pub fn try_report(
@@ -252,112 +235,69 @@ impl Harness {
         sys: System,
     ) -> Result<Arc<ExecutionReport>, CellError> {
         let job = (ds, workload, sys);
-        let mut last = None;
+        // A panicking initializer leaves the memo entry empty, so the retry
+        // re-runs it; if another worker won the race meanwhile, we just get
+        // its value.
+        self.isolated(job, || {
+            self.reports
+                .get_or_init(job, || Arc::new(self.run_with(ds, workload, sys, &self.cfg)))
+                .0
+        })
+    }
+
+    /// Runs `cell` under `catch_unwind`, retrying it up to `CELL_RETRIES`
+    /// times. A cell that panics on every attempt is recorded in
+    /// [`cell_failures`](Self::cell_failures) and returned as a
+    /// [`CellError`] carrying the last panic's message.
+    fn isolated<T>(&self, job: Job, cell: impl Fn() -> T) -> Result<T, CellError> {
+        let mut message = String::new();
         for _attempt in 0..=CELL_RETRIES {
-            // A panicking initializer leaves the entry empty, so the retry
-            // re-runs it; if another worker won the race meanwhile, we just
-            // get its value.
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                self.reports.get_or_init(job, || Arc::new(self.compute_report(job))).0
-            }));
-            match run {
-                Ok(r) => return Ok(r),
-                Err(payload) => last = Some(panic_message(payload)),
+            match catch_unwind(AssertUnwindSafe(&cell)) {
+                Ok(value) => return Ok(value),
+                Err(payload) => message = panic_message(payload),
             }
         }
-        let err = CellError {
-            job,
-            attempts: CELL_RETRIES + 1,
-            message: last.unwrap_or_else(|| "unknown panic".into()),
-        };
-        self.record_failure(err.clone());
+        let err = CellError { job, attempts: CELL_RETRIES + 1, message };
+        let mut failures = self.cell_failures.lock().unwrap_or_else(PoisonError::into_inner);
+        // Deduplicated by job: the figure-emission layer may re-attempt a
+        // cell that prefetch already gave up on.
+        if !failures.iter().any(|f| f.job == job) {
+            failures.push(err.clone());
+        }
         Err(err)
     }
 
-    /// The uninsulated cell computation (runs inside `catch_unwind`).
-    fn compute_report(&self, (ds, workload, sys): Job) -> ExecutionReport {
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(hook) = &self.fault_hook {
-            hook((ds, workload, sys));
-        }
-        let g = self.graph(ds);
-        let prepared = sys.needs_oags().then(|| self.prepared(ds));
-        self.execute(workload, sys, &g, &self.cfg, prepared.as_deref())
-    }
-
-    /// Runs one execution, self-checked when the harness asks for it. A
-    /// self-check failure (divergence, budget trip, validation error)
-    /// panics with the typed error's message so the surrounding
-    /// `catch_unwind` layers convert it into a [`CellError`].
-    fn execute(
-        &self,
-        workload: Workload,
-        sys: System,
-        g: &Hypergraph,
-        cfg: &RunConfig,
-        prepared: Option<&PreparedOags>,
-    ) -> ExecutionReport {
-        if self.self_check {
-            match self_check_prepared(workload, &sys, g, cfg, prepared) {
-                Ok(checked) => checked.report,
-                Err(e) => panic!("self-check failed: {e}"),
-            }
-        } else {
-            try_run_workload_prepared(workload, &sys, g, cfg, prepared)
-                .unwrap_or_else(|e| panic!("{}: {e}", sys.name()))
-        }
-    }
-
-    /// Records a post-retry cell failure (deduplicated by job, since the
-    /// figure-emission layer may re-attempt a cell prefetch already gave
-    /// up on).
-    fn record_failure(&self, err: CellError) {
-        let mut failures = self.cell_failures.lock().unwrap_or_else(PoisonError::into_inner);
-        if !failures.iter().any(|f| f.job == err.job) {
-            failures.push(err);
-        }
-    }
-
     /// Every cell that failed after retries over the life of this harness
-    /// (across all `prefetch`/`try_report` calls), deduplicated by job.
-    /// Empty for a fully healthy run.
+    /// (across all `prefetch`/`try_report`/`run_batch` calls), deduplicated
+    /// by job. Empty for a fully healthy run.
     pub fn cell_failures(&self) -> Vec<CellError> {
         self.cell_failures.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Warms the report memo for `jobs` across the harness's worker
-    /// threads. Duplicate keys are deduplicated up front and raced keys are
-    /// single-flighted, so each simulation runs exactly once; the memo
-    /// contents — and therefore everything later emitted from it — are
-    /// bit-identical to computing the same keys serially.
-    ///
-    /// Cells are panic-isolated: a failing cell is retried once and then
-    /// reported in the returned [`GridOutcome`] while every other cell
-    /// completes normally.
-    pub fn prefetch(&self, jobs: impl IntoIterator<Item = Job>) -> GridOutcome {
-        let mut seen = HashSet::new();
-        let jobs: Vec<Job> = jobs.into_iter().filter(|j| seen.insert(*j)).collect();
-        let failed: Vec<Mutex<Option<CellError>>> =
-            (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-        self.for_each_parallel(jobs.len(), |i| {
+    /// threads. Raced keys are single-flighted, so each simulation runs
+    /// exactly once; the memo contents — and therefore everything later
+    /// emitted from it — are bit-identical to computing the same keys
+    /// serially. A cell that keeps failing is left out of the memo and
+    /// recorded in [`cell_failures`](Self::cell_failures).
+    pub fn prefetch(&self, jobs: impl IntoIterator<Item = Job>) {
+        let jobs: Vec<Job> = jobs.into_iter().collect();
+        self.fan_out(jobs.len(), |i| {
             let (ds, w, sys) = jobs[i];
-            if let Err(e) = self.try_report(ds, w, sys) {
-                *failed[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
-            }
+            // A failure is recorded in `cell_failures`; the figure that
+            // needs the cell reports it again when it asks for the report.
+            let _ = self.try_report(ds, w, sys);
         });
-        // Collect in job-submission order so the outcome is deterministic
-        // regardless of worker completion order.
-        let failed: Vec<CellError> = failed
-            .into_iter()
-            .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        GridOutcome { completed: jobs.len() - failed.len(), failed }
     }
 
-    /// Runs `workload` on `ds` under `sys` with an explicit non-memoized
-    /// configuration (sensitivity sweeps). Reuses the harness's prepared
-    /// OAGs when `cfg` keeps the harness's OAG parameters — permitted by
-    /// [`System::run`]'s bit-identity contract.
+    /// The computation of every cell: runs `workload` on `ds` under `sys`
+    /// with `cfg`, self-checked when the harness asks for it, reusing the
+    /// harness's prepared OAGs when `cfg` keeps the harness's OAG
+    /// parameters — permitted by [`System::run`]'s bit-identity contract.
+    ///
+    /// A failed run (divergence, budget trip, validation error) panics with
+    /// the typed error's message, so the harness's fault isolation converts
+    /// it into a [`CellError`].
     pub fn run_with(
         &self,
         ds: Dataset,
@@ -365,79 +305,76 @@ impl Harness {
         sys: System,
         cfg: &RunConfig,
     ) -> ExecutionReport {
+        #[cfg(any(test, feature = "fault-injection"))]
+        if let Some(hook) = &self.fault_hook {
+            hook((ds, workload, sys));
+        }
         let g = self.graph(ds);
         let prepared = (sys.needs_oags() && cfg.oag == self.cfg.oag).then(|| self.prepared(ds));
-        self.execute(workload, sys, &g, cfg, prepared.as_deref())
+        let prepared = prepared.as_deref();
+        if self.self_check {
+            match self_check_prepared(workload, &sys, &g, cfg, prepared) {
+                Ok(checked) => checked.report,
+                Err(e) => panic!("self-check failed: {e}"),
+            }
+        } else {
+            try_run_workload_prepared(workload, &sys, &g, cfg, prepared)
+                .unwrap_or_else(|e| panic!("{}: {e}", sys.name()))
+        }
     }
 
-    /// Runs a batch of independent explicit-configuration jobs across the
-    /// worker threads, returning reports **in job order** (results are
-    /// written into per-index slots, so completion order is irrelevant and
-    /// the output is bit-identical to a serial loop).
+    /// Runs a batch of independent explicit-configuration jobs (sweep
+    /// points) across the worker threads, returning reports **in job
+    /// order**, bit-identical to a serial loop.
     ///
-    /// Each job is panic-isolated and retried once, so a transient fault
-    /// costs one re-run; a job that fails both attempts re-raises its
-    /// panic after the rest of the batch has finished (sensitivity sweeps
-    /// need every point, so there is no partial-result shape here — the
-    /// figures binary isolates the artifact instead).
+    /// Each job is fault-isolated like a grid cell. Sweeps need every
+    /// point, so once the whole batch has finished, a job that kept
+    /// failing panics with the first failed job's [`CellError`] (the
+    /// `figures` binary isolates the artifact).
     pub fn run_batch(
         &self,
         jobs: &[(Dataset, Workload, System, RunConfig)],
     ) -> Vec<ExecutionReport> {
-        let slots: Vec<OnceLock<ExecutionReport>> =
-            (0..jobs.len()).map(|_| OnceLock::new()).collect();
-        let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        self.for_each_parallel(jobs.len(), |i| {
-            let (ds, w, sys, cfg) = &jobs[i];
-            let attempt = || catch_unwind(AssertUnwindSafe(|| self.run_with(*ds, *w, *sys, cfg)));
-            match attempt().or_else(|_| attempt()) {
-                Ok(report) => {
-                    let _ = slots[i].set(report);
-                }
-                Err(payload) => {
-                    let mut first = first_panic.lock().unwrap_or_else(PoisonError::into_inner);
-                    first.get_or_insert(payload);
-                }
-            }
+        let results = self.fan_out(jobs.len(), |i| {
+            let (ds, w, sys, cfg) = jobs[i];
+            self.isolated((ds, w, sys), || self.run_with(ds, w, sys, &cfg))
         });
-        if let Some(payload) = first_panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            resume_unwind(payload);
-        }
-        slots
-            .into_iter()
-            .map(|s| {
-                // invariant: every worker either filled its slot or
-                // recorded a panic, and panics re-raised above.
-                s.into_inner().expect("batch worker filled its slot")
-            })
-            .collect()
+        results.into_iter().collect::<Result<_, _>>().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Work-queue fan-out: indexes `0..n` are claimed from a shared atomic
     /// counter by `min(threads, n)` scoped workers (or run inline when one
-    /// worker suffices). Work items are expected to do their own panic
-    /// isolation (`try_report`, `run_batch`'s catch); an item that unwinds
-    /// anyway propagates out of the scope join.
-    fn for_each_parallel(&self, n: usize, work: impl Fn(usize) + Sync) {
+    /// worker suffices), and the results come back in index order whatever
+    /// the completion order. Work items do their own panic isolation
+    /// ([`isolated`](Self::isolated)); one that unwinds anyway propagates.
+    fn fan_out<T: Send>(&self, n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
         let workers = self.threads.min(n);
         if workers <= 1 {
-            for i in 0..n {
-                work(i);
-            }
-            return;
+            return (0..n).map(work).collect();
         }
         let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    work(i);
-                });
-            }
+        let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                return done;
+                            }
+                            done.push((i, work(i)));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
+                .collect()
         });
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -547,13 +484,12 @@ mod tests {
             &[Dataset::LiveJournal],
             &[System::Hygra, System::ChGraph],
         );
-        let outcome = h.prefetch(jobs.iter().copied());
-        assert_eq!(outcome.failed.len(), 1, "exactly the injected cell fails");
-        assert_eq!(outcome.failed[0].job, bad);
-        assert_eq!(outcome.failed[0].attempts, 2, "one retry before giving up");
-        assert!(outcome.failed[0].message.contains("injected persistent fault"));
-        assert_eq!(outcome.completed, jobs.len() - 1);
-        assert_eq!(h.cell_failures().len(), 1);
+        h.prefetch(jobs.iter().copied());
+        let failed = h.cell_failures();
+        assert_eq!(failed.len(), 1, "exactly the injected cell fails");
+        assert_eq!(failed[0].job, bad);
+        assert_eq!(failed[0].attempts, 2, "one retry before giving up");
+        assert!(failed[0].message.contains("injected persistent fault"));
         // Healthy cells are untouched by the neighbor's failure.
         let clean = Harness::new(Scale(0.05));
         for &(ds, w, sys) in jobs.iter().filter(|&&j| j != bad) {
@@ -572,12 +508,35 @@ mod tests {
                 panic!("injected transient fault");
             }
         });
-        let outcome = h.prefetch([bad]);
-        assert!(outcome.is_complete(), "retry must recover: {:?}", outcome.failed);
+        h.prefetch([bad]);
+        assert!(h.cell_failures().is_empty(), "retry must recover: {:?}", h.cell_failures());
         assert_eq!(calls.load(Ordering::SeqCst), 2, "initial attempt plus one retry");
-        assert!(h.cell_failures().is_empty());
         let clean = Harness::new(Scale(0.05));
         assert_eq!(*h.report(bad.0, bad.1, bad.2), *clean.report(bad.0, bad.1, bad.2));
+    }
+
+    #[test]
+    fn persistent_sweep_panic_is_retried_recorded_and_reraised() {
+        use std::sync::atomic::AtomicU32;
+        let bad = (Dataset::LiveJournal, Workload::Bfs, System::Hygra);
+        let calls = Arc::new(AtomicU32::new(0));
+        let seen = calls.clone();
+        let h = Harness::new(Scale(0.05)).with_threads(2).with_fault_hook(move |job| {
+            if job == bad {
+                seen.fetch_add(1, Ordering::SeqCst);
+                panic!("injected sweep fault");
+            }
+        });
+        let jobs: Vec<_> =
+            [Workload::Cc, bad.1].into_iter().map(|w| (bad.0, w, bad.2, h.cfg)).collect();
+        let payload = catch_unwind(AssertUnwindSafe(|| h.run_batch(&jobs)))
+            .expect_err("a failed sweep point fails the batch");
+        assert_eq!(calls.load(Ordering::SeqCst), 2, "initial attempt plus one retry");
+        let failed = h.cell_failures();
+        assert_eq!(failed.len(), 1, "the sweep point is listed like a grid cell");
+        assert_eq!(failed[0].job, bad);
+        assert_eq!(failed[0].attempts, 2);
+        assert_eq!(panic_message(payload), failed[0].to_string());
     }
 
     #[test]
@@ -618,10 +577,10 @@ mod tests {
         let cfg = RunConfig::new().with_max_cycles(1);
         let h = Harness::with_config(Scale(0.05), cfg).with_self_check(true);
         let jobs = grid(&[Workload::Cc, Workload::Bfs], &[Dataset::LiveJournal], &[System::Hygra]);
-        let outcome = h.prefetch(jobs.iter().copied());
-        assert_eq!(outcome.completed, 0);
-        assert_eq!(outcome.failed.len(), jobs.len());
-        for f in &outcome.failed {
+        h.prefetch(jobs.iter().copied());
+        let failed = h.cell_failures();
+        assert_eq!(failed.len(), jobs.len());
+        for f in &failed {
             assert!(
                 f.message.contains("cycle budget exceeded"),
                 "cell error must carry the typed watchdog message: {}",

@@ -84,6 +84,13 @@ const PREFETCH_DISTANCE: usize = 8;
 /// Percentage (0–100) of the prefetcher baseline's value prefetches that
 /// fetch a useless line ("noisy data", §II-C).
 const PREFETCH_NOISE_PCT: u64 = 20;
+/// Chain-driven runtimes fall back to index order for phases whose
+/// frontier is smaller than `universe / SPARSE_CHAIN_DIVISOR`: with few
+/// active elements, overlap partners are almost surely inactive, so the
+/// OAG walk costs traffic it cannot repay. The element count is known from
+/// the previous phase's activation counter, so hardware can make the same
+/// decision.
+const SPARSE_CHAIN_DIVISOR: usize = 12;
 
 #[inline]
 fn core_read(m: &mut Machine, t: &mut CoreTimer, core: usize, r: Region, i: u64) {
@@ -617,9 +624,7 @@ impl<'a> Driver<'a> {
         // Sparse-phase fallback: when too few elements are active, overlap
         // partners are almost surely inactive and chains degenerate to
         // singletons; schedule in index order and skip the OAG walk.
-        let sparse = self.cfg.sparse_chain_divisor > 0
-            && frontier.len() * self.cfg.sparse_chain_divisor < self.g.num_on(src)
-            && chain_mode;
+        let sparse = frontier.len() * SPARSE_CHAIN_DIVISOR < self.g.num_on(src) && chain_mode;
         // Static fallback: a side whose OAG is degenerate (fewer than one
         // edge per element on average) cannot form chains worth their walk;
         // the configuration step can detect this from the OAG header alone.
@@ -1111,15 +1116,14 @@ mod tests {
         assert!(out.core_busy_cycles > 0);
     }
 
-    /// One all-active iteration with the sparse fallback off walks every
-    /// element of both sides once: the CP delivers one tuple per bipartite
-    /// edge per phase, and the HCG generates exactly the chains of the pure
-    /// chain walk over each core's chunk.
+    /// One all-active iteration (a full frontier never takes the sparse
+    /// fallback) walks every element of both sides once: the CP delivers
+    /// one tuple per bipartite edge per phase, and the HCG generates
+    /// exactly the chains of the pure chain walk over each core's chunk.
     #[test]
     fn chgraph_uses_engine_and_delivers_tuples() {
         let g = small_graph();
-        let mut cfg = RunConfig::new().with_system(tiny_system());
-        cfg.sparse_chain_divisor = 0;
+        let cfg = RunConfig::new().with_system(tiny_system());
         let h_oag = OagConfig::new().with_w_min(1).build(&g, Side::Hyperedge);
         let v_oag = OagConfig::new().with_w_min(1).build(&g, Side::Vertex);
         let algo = crate::testutil::PrLike { iterations: 1 };

@@ -23,13 +23,6 @@ pub struct RunConfig {
     /// Effective memory-level parallelism of the ChGraph engine's pipelined,
     /// decoupled accesses (deeper than the core's OOO window).
     pub engine_mlp: u64,
-    /// Chain-driven runtimes fall back to index order for phases whose
-    /// frontier is smaller than `universe / sparse_chain_divisor`: with few
-    /// active elements, overlap partners are almost surely inactive, so the
-    /// OAG walk costs traffic it cannot repay. The element count is known
-    /// from the previous phase's activation counter, so hardware can make
-    /// the same decision. `0` disables the fallback.
-    pub sparse_chain_divisor: usize,
     /// Execution watchdog budgets (cycles, wall clock, frontier stalls).
     /// The default has no budgets, so nothing ever trips; budgets convert
     /// runaway executions into typed
@@ -54,7 +47,6 @@ impl RunConfig {
             max_iterations: None,
             fifo_capacity: 32,
             engine_mlp: 8,
-            sparse_chain_divisor: 12,
             watchdog: WatchdogConfig::default(),
             validate: false,
         }

@@ -31,7 +31,7 @@ use crate::proto::{
 };
 use crate::stats::{CloseCause, Counters, LatencyHistogram};
 use chg_bench::{panic_message, ArtifactStore, Fetch, Memo, PreprocessCache, Scale};
-use chgraph::{ExecutionReport, RunConfig, System, WatchdogConfig};
+use chgraph::{ExecError, ExecutionReport, RunConfig, System, WatchdogConfig};
 use hyperalgos::{self_check_prepared, try_run_workload_prepared, SelfCheckError, Workload};
 use hypergraph::datasets::Dataset;
 use std::collections::VecDeque;
@@ -552,8 +552,8 @@ fn merged_watchdog(service: WatchdogConfig, request: &RunRequest) -> WatchdogCon
 }
 
 /// Builds the library-level [`RunConfig`] for a request. A machine the
-/// simulator cannot build (say, `cores: 0`) is rejected by the run itself
-/// as an invalid config.
+/// simulator cannot build (say, `cores: 0`) is left for [`execute_run`] to
+/// reject as an invalid config.
 fn build_run_config(request: &RunRequest, shared: &Shared) -> RunConfig {
     let mut cfg = RunConfig::new();
     if let Some(cores) = request.cores {
@@ -586,6 +586,11 @@ fn execute_run(request: &RunRequest, shared: &Shared) -> Response {
         return bad(format!("unknown dataset {:?}", request.dataset));
     };
     let cfg = build_run_config(request, shared);
+    // Reject an unbuildable machine before building, caching or writing
+    // artifacts for a run that cannot start.
+    if let Err(reason) = cfg.system.validate() {
+        return error_response(&ExecError::InvalidConfig(reason.to_string()));
+    }
     let scale = Scale(request.scale);
 
     // Phase 1: artifact preparation (LRU → disk cache → build).

@@ -48,24 +48,19 @@ fn usage() -> ExitCode {
 /// Emits one artifact with panic isolation: a cell that keeps failing
 /// after the harness's retry unwinds out of the figure function, and is
 /// converted here into a stderr report instead of aborting the remaining
-/// artifacts. Returns `Err(())` for an unknown artifact name.
-fn emit_isolated(artifact: &str, h: &Harness) -> Result<bool, ()> {
+/// artifacts. Returns whether the artifact was emitted.
+fn emit_isolated(artifact: &str, h: &Harness) -> bool {
     match catch_unwind(AssertUnwindSafe(|| emit(artifact, h))) {
-        Ok(known) => {
-            if known {
-                Ok(true)
-            } else {
-                Err(())
-            }
-        }
+        Ok(()) => true,
         Err(payload) => {
             eprintln!("[{artifact} FAILED: {}]", panic_message(payload));
-            Ok(false)
+            false
         }
     }
 }
 
-fn emit(artifact: &str, h: &Harness) -> bool {
+/// Prints one artifact; `artifact` is one of [`ARTIFACTS`].
+fn emit(artifact: &str, h: &Harness) {
     let t0 = Instant::now();
     match artifact {
         "table1" => println!("{}", figures::table1()),
@@ -90,10 +85,9 @@ fn emit(artifact: &str, h: &Harness) -> bool {
         "area" => println!("{}", figures::area_table()),
         "energy" => println!("{}", figures::energy(h)),
         "chains" => println!("{}", figures::chains(h)),
-        _ => return false,
+        other => unreachable!("artifact {other:?} was checked against ARTIFACTS"),
     }
     eprintln!("[{artifact} took {:.1?}]", t0.elapsed());
-    true
 }
 
 fn main() -> ExitCode {
@@ -129,7 +123,13 @@ fn main() -> ExitCode {
             }
             "--no-cache" => cache_dir = None,
             "-h" | "--help" => return usage(),
-            other if artifact.is_none() => artifact = Some(other.to_string()),
+            flag if flag.starts_with('-') => {
+                eprintln!("error: unknown flag {flag}");
+                return usage();
+            }
+            name if artifact.is_none() && (name == "all" || ARTIFACTS.contains(&name)) => {
+                artifact = Some(name.to_string());
+            }
             _ => return usage(),
         }
     }
@@ -151,19 +151,10 @@ fn main() -> ExitCode {
     // Artifacts are emitted even when some cells fail: each one is
     // panic-isolated, failed cells have already been retried once by the
     // harness, and the exit code reflects whether anything was lost.
+    let artifacts = if artifact == "all" { ARTIFACTS } else { &[artifact.as_str()][..] };
     let mut emitted_ok = true;
-    if artifact == "all" {
-        for a in ARTIFACTS {
-            match emit_isolated(a, &h) {
-                Ok(ok) => emitted_ok &= ok,
-                Err(()) => return usage(),
-            }
-        }
-    } else {
-        match emit_isolated(&artifact, &h) {
-            Ok(ok) => emitted_ok = ok,
-            Err(()) => return usage(),
-        }
+    for a in artifacts {
+        emitted_ok &= emit_isolated(a, &h);
     }
     if let Some(cache) = h.cache() {
         eprintln!("[{}]", cache.summary());

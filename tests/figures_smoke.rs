@@ -1,7 +1,7 @@
 //! Smoke coverage for every regeneration artifact at tiny scale: each one
 //! must produce well-formed, non-empty output.
 
-use chg_bench::figures::{self, Harness};
+use chg_bench::figures::{self, Harness, System};
 use chg_bench::Scale;
 
 fn harness() -> Harness {
@@ -40,6 +40,11 @@ fn sensitivity_artifacts_render() {
     assert_eq!(f18.samples.len(), 25);
     let f19 = figures::fig19(&h);
     assert_eq!(f19.samples.len(), 24);
+    for sys in [System::ChGraph, System::Hygra] {
+        let of_sys: Vec<_> = f19.samples.iter().filter(|s| s.system == sys).collect();
+        assert_eq!(of_sys.len(), 12, "Fig. 19 has 12 {sys:?} samples");
+        assert!(of_sys.iter().all(|s| s.cycles > 0), "{sys:?}: every sample simulated");
+    }
     let f20 = figures::fig20(&h);
     assert_eq!(f20.samples.len(), 20);
     for (artifact, text) in [

@@ -337,7 +337,7 @@ fn self_check_reports_budget_trips_as_exec_errors_with_progress() {
 #[test]
 fn undocumented_flags_are_rejected_with_usage() {
     use std::process::Command;
-    let cases: [(&str, &[&str]); 4] = [
+    let cases: [(&str, &[&str]); 6] = [
         (
             env!("CARGO_BIN_EXE_chgraph-cli"),
             &[
@@ -355,6 +355,8 @@ fn undocumented_flags_are_rejected_with_usage() {
         (env!("CARGO_BIN_EXE_chgraph-cli"), &["run", "--workload", "pr", "--iter", "3"]),
         (env!("CARGO_BIN_EXE_chgraph-cli"), &["stats", "--dataset", "FS", "--json"]),
         (env!("CARGO_BIN_EXE_chgraphd"), &["--addr", "127.0.0.1:0", "--threads", "2"]),
+        (env!("CARGO_BIN_EXE_figures"), &["table1", "--bogus"]),
+        (env!("CARGO_BIN_EXE_figures"), &["--bogus"]),
     ];
     for (bin, args) in cases {
         let out = Command::new(bin).args(args).output().expect("spawn binary");

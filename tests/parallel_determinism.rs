@@ -55,19 +55,19 @@ fn degraded_grid_is_identical_to_healthy_grid_on_surviving_cells() {
     let bad = (Dataset::WebTrackers, Workload::Bfs, System::ChGraph);
 
     let healthy = Harness::new(Scale(0.05)).with_threads(8);
-    let healthy_outcome = healthy.prefetch(jobs.iter().copied());
-    assert!(healthy_outcome.is_complete(), "control run must be clean");
+    healthy.prefetch(jobs.iter().copied());
+    assert!(healthy.cell_failures().is_empty(), "control run must be clean");
 
     let degraded = Harness::new(Scale(0.05)).with_threads(8).with_fault_hook(move |job| {
         if job == bad {
             panic!("injected persistent fault");
         }
     });
-    let outcome = degraded.prefetch(jobs.iter().copied());
-    assert_eq!(outcome.failed.len(), 1, "exactly the injected cell fails: {:?}", outcome.failed);
-    assert_eq!(outcome.failed[0].job, bad);
-    assert_eq!(outcome.failed[0].attempts, 2, "the cell was retried once");
-    assert_eq!(outcome.completed, jobs.len() - 1);
+    degraded.prefetch(jobs.iter().copied());
+    let failed = degraded.cell_failures();
+    assert_eq!(failed.len(), 1, "exactly the injected cell fails: {failed:?}");
+    assert_eq!(failed[0].job, bad);
+    assert_eq!(failed[0].attempts, 2, "the cell was retried once");
 
     for &(ds, w, sys) in jobs.iter().filter(|&&j| j != bad) {
         let clean = healthy.report(ds, w, sys);

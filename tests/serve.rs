@@ -220,7 +220,13 @@ fn runs_after_shutdown_are_rejected_as_draining() {
 /// survives to serve the next request.
 #[test]
 fn unbuildable_core_counts_are_answered_invalid_config() {
-    let (addr, handle) = start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let cache_dir = std::env::temp_dir().join(format!("chg-serve-badcores-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let (addr, handle) = start(ServeConfig {
+        workers: 1,
+        cache_dir: Some(cache_dir.to_str().expect("utf8 cache dir").to_string()),
+        ..ServeConfig::default()
+    });
     let mut client = connect(addr);
     for (cores, self_check, reason) in [
         (20, false, "mesh must be large enough"),
@@ -238,9 +244,15 @@ fn unbuildable_core_counts_are_answered_invalid_config() {
             other => panic!("{cores} cores: expected invalid-config, got {other:?}"),
         }
     }
+    // The machine is checked before any artifact is prepared.
+    let artifacts = client.stats().expect("stats").artifacts;
+    assert_eq!((artifacts.graph_misses, artifacts.oag_misses), (0, 0), "{artifacts:?}");
+    let written: Vec<_> = std::fs::read_dir(&cache_dir).expect("cache dir").collect();
+    assert!(written.is_empty(), "rejected runs must write no cache files: {written:?}");
     client.run(base_request()).expect("the worker still serves");
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("clean exit");
+    let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
 // ---------------------------------------------------------------------------
