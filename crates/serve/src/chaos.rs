@@ -26,15 +26,15 @@
 //! failure modes the serving layer claims to survive, nothing stochastic at
 //! run time.
 
+use crate::accept::AcceptStop;
 use crate::client::splitmix64;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How often blocked proxy loops re-check the stop flag.
+/// How often a blocked pump re-checks the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// `Drip` slow-feeds only this many leading bytes, then forwards normally —
 /// enough to hold a frame open past a test-sized deadline without making
@@ -163,7 +163,7 @@ pub fn plan_for(policy: &ChaosPolicy, conn_index: u64) -> FaultPlan {
 /// every pump thread.
 pub struct ChaosProxy {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: AcceptStop,
     events: Arc<Mutex<Vec<FaultEvent>>>,
     accept_thread: Option<JoinHandle<()>>,
 }
@@ -172,9 +172,8 @@ impl ChaosProxy {
     /// Starts the proxy in front of `upstream`.
     pub fn spawn(upstream: SocketAddr, policy: ChaosPolicy) -> io::Result<ChaosProxy> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = AcceptStop::new(&listener, "chaos proxy")?;
         let events = Arc::new(Mutex::new(Vec::new()));
         let accept_thread = {
             let stop = stop.clone();
@@ -197,7 +196,7 @@ impl ChaosProxy {
 
     /// Stops accepting, tears down in-flight pumps, joins the accept loop.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.stop();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -214,27 +213,15 @@ fn accept_loop(
     listener: TcpListener,
     upstream: SocketAddr,
     policy: ChaosPolicy,
-    stop: &Arc<AtomicBool>,
+    stop: &AcceptStop,
     events: &Arc<Mutex<Vec<FaultEvent>>>,
 ) {
-    let mut conn_index = 0u64;
     let mut conn_threads = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((client, _)) => {
-                let plan = plan_for(&policy, conn_index);
-                events
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(FaultEvent { conn_index, plan });
-                conn_index += 1;
-                let stop = stop.clone();
-                conn_threads
-                    .push(std::thread::spawn(move || proxy_one(client, upstream, plan, &stop)));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL_INTERVAL),
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
+    for (conn_index, client) in (0u64..).zip(stop.incoming(&listener)) {
+        let plan = plan_for(&policy, conn_index);
+        events.lock().unwrap_or_else(PoisonError::into_inner).push(FaultEvent { conn_index, plan });
+        let stop = stop.clone();
+        conn_threads.push(std::thread::spawn(move || proxy_one(client, upstream, plan, &stop)));
     }
     for t in conn_threads {
         let _ = t.join();
@@ -242,7 +229,7 @@ fn accept_loop(
 }
 
 /// Forwards one client connection through its fault plan.
-fn proxy_one(client: TcpStream, upstream: SocketAddr, plan: FaultPlan, stop: &Arc<AtomicBool>) {
+fn proxy_one(client: TcpStream, upstream: SocketAddr, plan: FaultPlan, stop: &AcceptStop) {
     if let FaultPlan::Refuse = plan {
         drop(client); // immediate close: the client's next read sees EOF
         return;
@@ -284,7 +271,7 @@ fn proxy_one(client: TcpStream, upstream: SocketAddr, plan: FaultPlan, stop: &Ar
 }
 
 /// Copies bytes `from` → `to`, applying `fault` to the forwarded stream.
-fn pump(from: TcpStream, mut to: TcpStream, fault: FaultPlan, stop: &Arc<AtomicBool>) {
+fn pump(from: TcpStream, mut to: TcpStream, fault: FaultPlan, stop: &AcceptStop) {
     let mut from = from;
     if from.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
@@ -292,7 +279,7 @@ fn pump(from: TcpStream, mut to: TcpStream, fault: FaultPlan, stop: &Arc<AtomicB
     let mut buf = [0u8; BUF];
     let mut forwarded = 0usize;
     loop {
-        if stop.load(Ordering::SeqCst) {
+        if stop.is_stopped() {
             let _ = from.shutdown(Shutdown::Both);
             let _ = to.shutdown(Shutdown::Both);
             return;

@@ -36,10 +36,12 @@
 //! the std-only JSON codec under it, [`stats`] counters and latency
 //! histograms, [`server`] the daemon core, [`client`] the blocking client
 //! shared by the CLI, the benchmark, and tests, [`chaos`] the seeded
-//! fault-injection proxy the resilience tests drive.
+//! fault-injection proxy the resilience tests drive, and `accept` the
+//! wakeable blocking accept loop the last two share.
 //!
 //! [`WatchdogConfig`]: chgraph::WatchdogConfig
 
+mod accept;
 pub mod chaos;
 pub mod client;
 pub mod json;

@@ -117,13 +117,17 @@ fn schema_err<T>(msg: impl Into<String>) -> Result<T, ProtoError> {
     Err(ProtoError::Schema(msg.into()))
 }
 
-/// Writes one checksummed frame carrying `payload`: five `write_all`
-/// calls (magic, version, length, payload, trailer) and a flush.
+/// Writes one checksummed frame carrying `payload` with one `write_all`
+/// and a flush. The frame is assembled in memory first: on an unbuffered
+/// `TCP_NODELAY` socket each write call leaves as its own segment.
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
-    write_container(&mut *w, FRAME_MAGIC, PROTO_VERSION, |w| {
+    // Magic, version, length and trailer around the payload.
+    let mut frame = Vec::with_capacity(payload.len() + 24);
+    write_container(&mut frame, FRAME_MAGIC, PROTO_VERSION, |w| {
         w.write_all(&(payload.len() as u64).to_le_bytes())?;
         w.write_all(payload.as_bytes())
     })?;
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -1055,12 +1059,24 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_is_five_writes_and_five_reads() {
+    fn frame_bytes_are_pinned() {
+        // Magic "CHGS", version 1, length 15, `{"type":"ping"}`, FNV-1a.
+        let mut buf = Vec::new();
+        send(&mut buf, &Request::Ping).unwrap();
+        let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "43484753010000000f000000000000007b2274797065223a2270696e67227dd2df69556afb1adb"
+        );
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_five_reads() {
         // Frames go to an unbuffered TCP_NODELAY socket, where every call
-        // is a system call.
+        // is a system call and every write its own segment.
         let mut socket = Calls::default();
         send(&mut socket, &Request::Run(sample_run_request())).unwrap();
-        assert_eq!(socket.calls, 5, "magic, version, length, payload, trailer");
+        assert_eq!(socket.calls, 1, "the whole frame in one write");
         socket.calls = 0;
         assert_eq!(recv::<_, Request>(&mut socket).unwrap(), Request::Run(sample_run_request()));
         assert_eq!(socket.calls, 5);

@@ -24,7 +24,15 @@
 //! [`StatsReport`]. Per-request [`WatchdogConfig`] budgets bound how long a
 //! drain can take: a runaway simulation trips its budget and returns a
 //! typed error instead of wedging a worker forever.
+//!
+//! Nothing polls on the way there. The accept loop blocks in `accept`;
+//! whoever sets the stop flag also opens one throwaway loopback connection
+//! to the listener, which wakes the loop, and the loop drops it uncounted.
+//! Idle workers wait on the queue's condvar with no timeout; the drain sets
+//! `draining` under the queue mutex and wakes them all. Only idle
+//! connections notice the stop on a timer, through their 25 ms peek.
 
+use crate::accept::AcceptStop;
 use crate::proto::{
     self, error_response, run_result_from_report, ArtifactSource, DiskCacheCounters, ErrorKind,
     Request, Response, RunRequest, StatsReport,
@@ -38,11 +46,11 @@ use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How often blocked loops re-check the shutdown flag.
+/// How often an idle connection re-checks the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// Samples in the sliding queue-wait window the degraded-mode shed reads
 /// its p95 from. Small on purpose: the signal must react within a few
@@ -57,7 +65,9 @@ const CONN_CAP_RETRY_MS: u64 = 100;
 pub struct ServeConfig {
     /// Worker threads executing run requests.
     pub workers: usize,
-    /// Bounded queue capacity; a full queue rejects with `overloaded`.
+    /// Bounded queue capacity: runs waiting for a busy worker (a run an
+    /// idle worker takes at once does not count). A full queue rejects
+    /// with `overloaded`.
     pub queue_capacity: usize,
     /// In-memory LRU capacity for loaded graphs.
     pub graph_lru: usize,
@@ -130,68 +140,107 @@ struct QueuedRun {
     reply: mpsc::Sender<Response>,
 }
 
-/// The bounded request queue: `Mutex<VecDeque>` + `Condvar`. `try_push`
-/// never blocks (backpressure is a rejection, not a wait); `pop` blocks
-/// until work arrives or shutdown has drained the queue.
+/// The bounded request queue: `Mutex` + `Condvar`. `try_push` never
+/// blocks (backpressure is a rejection, not a wait); `pop` blocks until
+/// work arrives or shutdown has drained the queue.
 struct BoundedQueue {
-    inner: Mutex<VecDeque<QueuedRun>>,
+    state: Mutex<QueueState>,
     capacity: usize,
     available: Condvar,
-    draining: AtomicBool,
+}
+
+/// Everything under the queue's mutex. `draining` lives here, not in an
+/// atomic beside it: a popper checks it and starts waiting under one lock,
+/// so `drain`'s wake-up cannot fall between the check and the wait, and no
+/// push can land after the workers have seen the queue drained.
+struct QueueState {
+    jobs: VecDeque<QueuedRun>,
+    draining: bool,
+    /// Workers waiting in `pop`. The first `idle` jobs are already theirs,
+    /// so they take no capacity and are no backlog.
+    idle: usize,
+    /// Jobs popped and not yet [`finish`](BoundedQueue::finish)ed.
+    running: usize,
+}
+
+impl QueueState {
+    /// Jobs that no idle worker is about to take.
+    fn backlog(&self) -> usize {
+        self.jobs.len().saturating_sub(self.idle)
+    }
 }
 
 impl BoundedQueue {
     fn new(capacity: usize) -> Self {
         BoundedQueue {
-            inner: Mutex::new(VecDeque::new()),
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                draining: false,
+                idle: 0,
+                running: 0,
+            }),
             capacity: capacity.max(1),
             available: Condvar::new(),
-            draining: AtomicBool::new(false),
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Enqueues unless full or draining; on `Err` the job (and its reply
     /// sender) is dropped and the caller answers the client directly.
     fn try_push(&self, job: QueuedRun) -> Result<(), PushError> {
-        if self.draining.load(Ordering::SeqCst) {
+        let mut q = self.lock();
+        if q.draining {
             return Err(PushError::Draining);
         }
-        let mut q = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if q.len() >= self.capacity {
+        if q.backlog() >= self.capacity {
             return Err(PushError::Full);
         }
-        q.push_back(job);
+        q.jobs.push_back(job);
         drop(q);
         self.available.notify_one();
         Ok(())
     }
 
-    /// Blocks for the next job; `None` once draining *and* empty.
+    /// Blocks for the next job, which counts as running until `finish`;
+    /// `None` once draining *and* empty.
     fn pop(&self) -> Option<QueuedRun> {
-        let mut q = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut q = self.lock();
         loop {
-            if let Some(job) = q.pop_front() {
+            if let Some(job) = q.jobs.pop_front() {
+                q.running += 1;
                 return Some(job);
             }
-            if self.draining.load(Ordering::SeqCst) {
+            if q.draining {
                 return None;
             }
-            let (guard, _) = self
-                .available
-                .wait_timeout(q, POLL_INTERVAL)
-                .unwrap_or_else(PoisonError::into_inner);
-            q = guard;
+            q.idle += 1;
+            q = self.available.wait(q).unwrap_or_else(PoisonError::into_inner);
+            q.idle -= 1;
         }
+    }
+
+    /// Ends a popped job's run.
+    fn finish(&self) {
+        self.lock().running -= 1;
     }
 
     /// Stops accepting pushes; wakes all poppers so they can drain and exit.
     fn drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        self.lock().draining = true;
         self.available.notify_all();
     }
 
+    /// Queued plus running jobs.
     fn depth(&self) -> usize {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).len()
+        let q = self.lock();
+        q.jobs.len() + q.running
+    }
+
+    fn backlog(&self) -> usize {
+        self.lock().backlog()
     }
 }
 
@@ -203,17 +252,17 @@ type DedupEntry = (u64, OnceLock<Response>);
 /// Cloneable handle that triggers graceful shutdown from another thread
 /// (the daemon's SIGINT bridge, or tests).
 #[derive(Clone)]
-pub struct ShutdownHandle(Arc<AtomicBool>);
+pub struct ShutdownHandle(AcceptStop);
 
 impl ShutdownHandle {
     /// Begins graceful shutdown: drain in-flight requests, then return.
     pub fn shutdown(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.0.stop();
     }
 
     /// Whether shutdown has been requested.
     pub fn is_shutdown(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.0.is_stopped()
     }
 }
 
@@ -222,7 +271,7 @@ impl ShutdownHandle {
 pub struct Server {
     listener: TcpListener,
     cfg: ServeConfig,
-    stop: Arc<AtomicBool>,
+    stop: AcceptStop,
 }
 
 /// Shared state visible to handlers and workers.
@@ -239,11 +288,10 @@ struct Shared {
     /// Sliding window of the most recent queue waits (micros) — the
     /// degraded-mode shed signal.
     recent_queue_wait: Mutex<VecDeque<u64>>,
-    in_flight: AtomicU64,
     active_connections: AtomicUsize,
     started: Instant,
     cfg: ServeConfig,
-    stop: Arc<AtomicBool>,
+    stop: AcceptStop,
 }
 
 impl Shared {
@@ -277,7 +325,7 @@ impl Shared {
     fn shedding(&self) -> bool {
         match self.cfg.shed_queue_wait {
             Some(threshold) => {
-                self.queue.depth() > 0
+                self.queue.backlog() > 0
                     && self.windowed_queue_wait_p95() >= threshold.as_micros() as u64
             }
             None => false,
@@ -302,7 +350,7 @@ impl Shared {
             uptime_secs: self.started.elapsed().as_secs(),
             workers: self.cfg.workers as u64,
             queue_capacity: self.cfg.queue_capacity as u64,
-            queue_depth: self.queue.depth() as u64 + self.in_flight.load(Ordering::Relaxed),
+            queue_depth: self.queue.depth() as u64,
             requests: self.counters.snapshot(),
             closes: self.counters.closes(),
             artifacts: self.store.counters(),
@@ -397,8 +445,8 @@ impl Server {
                 }))
             }
         };
-        listener.set_nonblocking(true)?;
-        Ok(Server { listener, cfg, stop: Arc::new(AtomicBool::new(false)) })
+        let stop = AcceptStop::new(&listener, "chgraphd")?;
+        Ok(Server { listener, cfg, stop })
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -449,7 +497,6 @@ impl Server {
             total_latency: LatencyHistogram::new(),
             queue_wait_latency: LatencyHistogram::new(),
             recent_queue_wait: Mutex::new(VecDeque::new()),
-            in_flight: AtomicU64::new(0),
             active_connections: AtomicUsize::new(0),
             started: Instant::now(),
             cfg: self.cfg.clone(),
@@ -460,42 +507,31 @@ impl Server {
             for _ in 0..self.cfg.workers.max(1) {
                 scope.spawn(move || worker_loop(shared));
             }
-            // Accept loop: nonblocking accept polled against the stop flag.
-            while !shared.stop.load(Ordering::SeqCst) {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if shared.active_connections.load(Ordering::SeqCst)
-                            >= shared.cfg.max_connections.max(1)
-                        {
-                            // Shed at the door: best-effort structured
-                            // refusal, then close. Never spawn a handler.
-                            shared.counters.on_conn_cap();
-                            let mut stream = stream;
-                            let _ = stream.set_write_timeout(Some(POLL_INTERVAL));
-                            let _ = proto::send(
-                                &mut stream,
-                                &Response::Overloaded {
-                                    queue_capacity: shared.cfg.queue_capacity as u64,
-                                    retry_after_ms: CONN_CAP_RETRY_MS,
-                                },
-                            );
-                            continue;
-                        }
-                        shared.active_connections.fetch_add(1, Ordering::SeqCst);
-                        scope.spawn(move || {
-                            let cause = handle_connection(stream, shared);
-                            shared.counters.on_close(cause);
-                            shared.active_connections.fetch_sub(1, Ordering::SeqCst);
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                    Err(e) => {
-                        eprintln!("[chgraphd: accept error: {e}]");
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
+            // Accept loop: blocks in `accept` until the stop wakes it. The
+            // waking connection never reaches the cap check or a handler.
+            for mut stream in shared.stop.incoming(&self.listener) {
+                if shared.active_connections.load(Ordering::SeqCst)
+                    >= shared.cfg.max_connections.max(1)
+                {
+                    // Shed at the door: best-effort structured refusal,
+                    // then close. Never spawn a handler.
+                    shared.counters.on_conn_cap();
+                    let _ = stream.set_write_timeout(Some(POLL_INTERVAL));
+                    let _ = proto::send(
+                        &mut stream,
+                        &Response::Overloaded {
+                            queue_capacity: shared.cfg.queue_capacity as u64,
+                            retry_after_ms: CONN_CAP_RETRY_MS,
+                        },
+                    );
+                    continue;
                 }
+                shared.active_connections.fetch_add(1, Ordering::SeqCst);
+                scope.spawn(move || {
+                    let cause = handle_connection(stream, shared);
+                    shared.counters.on_close(cause);
+                    shared.active_connections.fetch_sub(1, Ordering::SeqCst);
+                });
             }
             // Drain: no new pushes; workers finish queued + in-flight jobs.
             shared.queue.drain();
@@ -507,7 +543,6 @@ impl Server {
 /// Worker: pops queued runs until the queue reports drained-and-empty.
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
-        shared.in_flight.fetch_add(1, Ordering::Relaxed);
         shared.record_queue_wait(job.enqueued_at.elapsed().as_micros() as u64);
         let response = execute_isolated(&job.request, shared);
         match &response {
@@ -515,9 +550,11 @@ fn worker_loop(shared: &Shared) {
             _ => shared.counters.on_failed(),
         }
         shared.total_latency.record(job.enqueued_at.elapsed().as_micros() as u64);
+        // Finished before the reply leaves: a client holding its reply never
+        // sees its own run in `queue_depth`.
+        shared.queue.finish();
         // A dropped receiver means the client hung up; nothing to do.
         let _ = job.reply.send(response);
-        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -750,7 +787,7 @@ fn wait_for_data(stream: &TcpStream, shared: &Shared) -> WaitOutcome {
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if shared.stop.load(Ordering::SeqCst) {
+                if shared.stop.is_stopped() {
                     return WaitOutcome::Shutdown;
                 }
             }
@@ -811,11 +848,11 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
         Request::Ping => Response::Pong,
         Request::Stats => Response::Stats(shared.stats()),
         Request::Shutdown => {
-            shared.stop.store(true, Ordering::SeqCst);
+            shared.stop.stop();
             Response::ShuttingDown
         }
         Request::Run(run) => {
-            if shared.stop.load(Ordering::SeqCst) {
+            if shared.stop.is_stopped() {
                 return Response::Error {
                     kind: ErrorKind::ShuttingDown,
                     message: "service is draining; not accepting new runs".into(),

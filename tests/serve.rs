@@ -13,11 +13,13 @@ use chg_bench::faultutil::{Fault, FaultReader};
 use chg_serve::proto::{self, fingerprint_report};
 use chg_serve::{
     Client, ClientError, ErrorKind, ProtoError, Request, Response, RunRequest, ServeConfig, Server,
+    ShutdownHandle, StatsReport,
 };
 use hyperalgos::{try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
 use proptest::prelude::*;
 use std::net::SocketAddr;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 const SCALE: f64 = 0.02;
@@ -212,6 +214,82 @@ fn runs_after_shutdown_are_rejected_as_draining() {
         other => panic!("expected shutting-down or closed socket, got {other:?}"),
     }
     handle.join().expect("server thread").expect("clean exit");
+}
+
+// ---------------------------------------------------------------------------
+// Connection path: accepts are immediate, and a stop wakes the accept
+// ---------------------------------------------------------------------------
+
+/// Starts a default service bound to `bind` and returns its loopback
+/// address, its shutdown handle, and a receiver that yields what `run`
+/// returns.
+fn start_with_handle(
+    bind: &str,
+) -> (SocketAddr, ShutdownHandle, mpsc::Receiver<std::io::Result<StatsReport>>) {
+    let server = Server::bind(bind, ServeConfig::default()).expect("bind ephemeral");
+    let port = server.local_addr().expect("local addr").port();
+    let addr = SocketAddr::from(([127, 0, 0, 1], port));
+    let stop = server.shutdown_handle();
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(server.run());
+    });
+    (addr, stop, finished)
+}
+
+/// Shuts the service down through its handle; `run` must return promptly.
+fn stop_and_wait(
+    stop: &ShutdownHandle,
+    finished: &mpsc::Receiver<std::io::Result<StatsReport>>,
+) -> StatsReport {
+    stop.shutdown();
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("run() returns after shutdown")
+        .expect("clean exit")
+}
+
+/// Each fresh connection is accepted as it arrives. A listener polled
+/// every 25 ms makes every connection after the first wait out a sleep
+/// (at least 475 ms for these 20); a blocking accept takes a few ms.
+#[test]
+fn fresh_connections_are_accepted_without_a_poll_delay() {
+    let (addr, handle) = start(ServeConfig::default());
+    connect(addr); // up and idle
+    let started = Instant::now();
+    for _ in 0..20 {
+        Client::connect(addr).expect("connect").ping().expect("ping");
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(250), "20 connect + ping took {elapsed:?}");
+    connect(addr).shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean exit");
+}
+
+/// The waking connection of a server bound to the wildcard address goes to
+/// loopback, so `ShutdownHandle` still ends `run`.
+#[test]
+fn shutdown_handle_stops_a_server_bound_to_the_wildcard_address() {
+    let (addr, stop, finished) = start_with_handle("0.0.0.0:0");
+    // Once a ping is answered, the accept loop is blocked in `accept`.
+    connect(addr);
+    stop_and_wait(&stop, &finished);
+}
+
+/// The waking connection is dropped unseen: the final close tallies cover
+/// exactly the connections the test opened.
+#[test]
+fn the_waking_connection_is_not_counted() {
+    let (addr, stop, finished) = start_with_handle("127.0.0.1:0");
+    for _ in 0..3 {
+        connect(addr); // one ping, then closed
+    }
+    let stats = stop_and_wait(&stop, &finished);
+    let c = &stats.closes;
+    let closes =
+        c.clean + c.read_timeout + c.write_timeout + c.frame_deadline + c.reset + c.protocol;
+    assert_eq!((closes, c.clean, c.conn_cap), (3, 3, 0), "{c:?}");
+    assert_eq!(stats.requests.received, 3, "{:?}", stats.requests);
 }
 
 /// A request's `cores` is a runtime input: a machine the simulator cannot
