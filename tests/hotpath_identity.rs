@@ -318,6 +318,14 @@ fn raising_w_min_filters_the_w_min_1_rows() {
 /// never-full FIFOs the CP's FIFO-full stalls may only shrink. Each
 /// expectation is `(fingerprint_report, main_memory_accesses,
 /// invalidations)`.
+///
+/// The remaining cells pin every other system's schedule and engine path
+/// before the driver's chain walks and pipeline actions were merged: Hygra,
+/// HCG-only, HATS-V and the prefetcher on BFS and PR, GLA on BFS (which
+/// walks chains every iteration instead of replaying them), and ChGraph PR
+/// under deep validation. An engine system's cell also pins its whole
+/// [`chgraph::EngineReport`] as `[hcg_cycles, cp_cycles, tuples_delivered,
+/// chains_generated, fifo_full_stalls, fifo_empty_stalls]`.
 #[test]
 fn simulated_results_match_golden_fingerprints() {
     use archsim::SystemConfig;
@@ -383,6 +391,83 @@ fn simulated_results_match_golden_fingerprints() {
     assert!(
         full_stalls[0] >= full_stalls[1] && full_stalls[1] >= full_stalls[2],
         "FIFO-full stalls must not grow with depth (1, 32, never full): {full_stalls:?}"
+    );
+
+    let check_engine = |name: &str, workload, system: System, cfg: &RunConfig, want, engine| {
+        let e = check(name, workload, system, cfg, want).engine.expect(name);
+        let got = [
+            e.hcg_cycles,
+            e.cp_cycles,
+            e.tuples_delivered,
+            e.chains_generated,
+            e.fifo_full_stalls,
+            e.fifo_empty_stalls,
+        ];
+        assert_eq!(got, engine, "{name}: engine report");
+    };
+    let bfs = &served;
+    check("BFS/Hygra", Workload::Bfs, System::Hygra, bfs, (0x53d2_cde4_63bb_7edd, 1024, 254));
+    check("PR/Hygra", Workload::Pr, System::Hygra, &pr, (0x2836_f428_5175_ee37, 3550, 24222));
+    check("BFS/GLA", Workload::Bfs, System::Gla, bfs, (0x1ba6_835a_050e_b9cc, 1894, 286));
+    let hcg = System::HcgOnly;
+    check_engine(
+        "BFS/HCG-only",
+        Workload::Bfs,
+        hcg,
+        bfs,
+        (0x17d3_4f26_fdc0_5be6, 1719, 271),
+        [42367, 0, 0, 230, 0, 0],
+    );
+    check_engine(
+        "PR/HCG-only",
+        Workload::Pr,
+        hcg,
+        &pr,
+        (0x5ba8_228c_30bf_b2f2, 5682, 24308),
+        [174567, 0, 0, 578, 0, 0],
+    );
+    let hats = System::HatsV;
+    check_engine(
+        "BFS/HATS-V",
+        Workload::Bfs,
+        hats,
+        bfs,
+        (0x5994_2142_f506_3ddc, 2666, 250),
+        [295868, 429566, 12014, 68, 0, 49471],
+    );
+    check_engine(
+        "PR/HATS-V",
+        Workload::Pr,
+        hats,
+        &pr,
+        (0x3759_a1bd_c579_92e1, 6208, 23864),
+        [686487, 2031533, 83248, 241, 319851, 75601],
+    );
+    let prefetcher = System::Prefetcher;
+    check_engine(
+        "BFS/Prefetcher",
+        Workload::Bfs,
+        prefetcher,
+        bfs,
+        (0xa8aa_728b_aad1_c0ec, 1144, 289),
+        [0, 140977, 0, 0, 0, 0],
+    );
+    check_engine(
+        "PR/Prefetcher",
+        Workload::Pr,
+        prefetcher,
+        &pr,
+        (0x584e_26c9_a86d_95b0, 5131, 25476),
+        [0, 1076077, 0, 0, 0, 0],
+    );
+    // Deep validation checks every chain cover and changes no result.
+    check_engine(
+        "PR/ChGraph, validated",
+        Workload::Pr,
+        chgraph,
+        &pr.with_validate(true),
+        (0xfd81_69b2_02e3_ef3c, 5658, 24312),
+        [174567, 1564495, 83248, 578, 313806, 685],
     );
 }
 
