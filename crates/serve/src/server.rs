@@ -259,11 +259,6 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.0.stop();
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.0.is_stopped()
-    }
 }
 
 /// The long-lived query service. Construct with [`Server::bind`], then
