@@ -5,7 +5,8 @@
 //! invocation; this crate keeps those artifacts resident. A daemon
 //! (`chgraphd`) accepts run requests — dataset × algorithm × runtime ×
 //! configuration — over a checksummed, length-prefixed JSON-over-TCP
-//! protocol, executes them on a bounded worker pool, and serves repeated
+//! protocol, executes each on its connection's thread (at most `workers`
+//! at once, behind a bounded wait line), and serves repeated
 //! requests from the resident [`ArtifactStore`] (bounded LRUs of graphs
 //! and prepared OAGs with single-flight builds, shared with the figure
 //! harness), falling back to the on-disk preprocess cache.
@@ -15,12 +16,12 @@
 //! - **Identical results.** A served run returns byte-identical simulator
 //!   output to a direct library call — caching changes latency, never
 //!   results (covered by the end-to-end test suite).
-//! - **Backpressure, not buffering.** The request queue is bounded; a full
-//!   queue answers `overloaded` immediately instead of queueing unbounded
-//!   work or hanging the client.
+//! - **Backpressure, not buffering.** The runs waiting for a slot are
+//!   bounded; one more answers `overloaded` immediately instead of queueing
+//!   unbounded work or hanging the client.
 //! - **Bounded requests.** Every run executes under a [`WatchdogConfig`]
 //!   merged from the service default and the request (stricter budget
-//!   wins), so one runaway simulation cannot wedge a worker.
+//!   wins), so one runaway simulation cannot hold its slot forever.
 //! - **Graceful drain.** Shutdown (SIGINT on the daemon, or a protocol
 //!   `shutdown` request) stops intake, finishes in-flight work, replies to
 //!   every accepted request, and exits 0.

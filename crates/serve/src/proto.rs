@@ -509,7 +509,7 @@ wire_enum! {
         BadRequest => "bad-request",
         /// The service is draining and accepts no new runs.
         ShuttingDown => "shutting-down",
-        /// The simulator panicked or dropped its reply; the worker survived.
+        /// The simulator panicked; the daemon survived.
         InternalPanic => "internal-panic",
         /// A request frame stalled past the read timeout or frame deadline.
         Timeout => "timeout",
@@ -650,11 +650,11 @@ wire_struct! {
     pub struct StatsReport {
         /// Seconds since the service started.
         pub uptime_secs: u64,
-        /// Worker threads executing requests.
+        /// Runs that execute at once.
         pub workers: u64,
-        /// Bounded-queue capacity.
+        /// Runs that may wait for a slot.
         pub queue_capacity: u64,
-        /// Requests currently queued (gauge).
+        /// Runs currently executing or waiting for a slot (gauge).
         pub queue_depth: u64,
         /// Request outcome counters.
         pub requests: RequestCounters,
@@ -670,9 +670,9 @@ wire_struct! {
         pub execute_latency: LatencySummary,
         /// End-to-end request latency (queue wait + prepare + execute).
         pub total_latency: LatencySummary,
-        /// Time runs spent waiting in the bounded queue before a worker popped
-        /// them — the congestion signal the degraded-mode shed watches, and the
-        /// number a retrying client's backoff is reacting to.
+        /// Time runs spent waiting for an execution slot — the congestion
+        /// signal the degraded-mode shed watches, and the number a retrying
+        /// client's backoff is reacting to.
         pub queue_wait_latency: LatencySummary,
     }
 }

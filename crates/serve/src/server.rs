@@ -1,36 +1,38 @@
-//! The daemon core: a bounded work queue, a scoped worker pool, a
-//! thread-per-connection accept loop, and graceful shutdown.
+//! The daemon core: a thread-per-connection accept loop, an admission
+//! gate, and graceful shutdown.
 //!
 //! # Request flow
 //!
 //! ```text
-//! client ──frame──▶ handler thread ──try_push──▶ bounded queue ──▶ worker pool
-//!        ◀─frame──            ▲                        │  (N threads, executes
-//!                             └──── mpsc reply ◀───────┘   on the ArtifactStore)
+//! client ──frame──▶ handler thread ──enter──▶ gate ──slot──▶ execute on the ArtifactStore
+//!        ◀─frame──  (same thread: drops the slot, then writes the reply)
 //! ```
 //!
-//! `Stats`/`Ping`/`Shutdown` are answered inline by the handler; only `Run`
-//! requests pass through the queue. When the queue is full the handler
-//! replies [`Response::Overloaded`] immediately — explicit backpressure
-//! instead of unbounded buffering or a hung client.
+//! Each connection's handler thread answers every request on it.
+//! `Stats`/`Ping`/`Shutdown` are answered at once; a `Run` executes on the
+//! handler once the gate grants it one of `workers` slots, at once when a
+//! slot is free and otherwise after every run that arrived before it. When
+//! `queue_capacity` runs already wait, the handler replies
+//! [`Response::Overloaded`] immediately — explicit backpressure instead of
+//! unbounded buffering or a hung client.
 //!
 //! # Shutdown
 //!
 //! Shutdown (a `Shutdown` request, [`ShutdownHandle::shutdown`], or the
 //! daemon's SIGINT bridge) is a drain, not an abort: the accept loop stops
 //! taking connections, handlers reject *new* run requests with a typed
-//! `shutting-down` error, workers finish everything already queued or
-//! executing, every reply is delivered, and [`Server::run`] returns a final
+//! `shutting-down` error, runs already executing or waiting for a slot
+//! finish, every reply is delivered, and [`Server::run`] returns a final
 //! [`StatsReport`]. Per-request [`WatchdogConfig`] budgets bound how long a
 //! drain can take: a runaway simulation trips its budget and returns a
-//! typed error instead of wedging a worker forever.
+//! typed error instead of holding its slot forever.
 //!
 //! Nothing polls on the way there. The accept loop blocks in `accept`;
 //! whoever sets the stop flag also opens one throwaway loopback connection
 //! to the listener, which wakes the loop, and the loop drops it uncounted.
-//! Idle workers wait on the queue's condvar with no timeout; the drain sets
-//! `draining` under the queue mutex and wakes them all. Only idle
-//! connections notice the stop on a timer, through their 25 ms peek.
+//! A run waiting for a slot sleeps on the gate's condvar until a finishing
+//! run hands it the slot, so the drain wakes nobody. Only idle connections
+//! notice the stop on a timer, through their 25 ms peek.
 
 use crate::accept::AcceptStop;
 use crate::proto::{
@@ -47,7 +49,7 @@ use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How often an idle connection re-checks the shutdown flag.
@@ -63,11 +65,11 @@ const CONN_CAP_RETRY_MS: u64 = 100;
 /// Service configuration.
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Worker threads executing run requests.
+    /// Runs that execute at once, each on its connection's handler thread.
     pub workers: usize,
-    /// Bounded queue capacity: runs waiting for a busy worker (a run an
-    /// idle worker takes at once does not count). A full queue rejects
-    /// with `overloaded`.
+    /// Runs that may wait while all `workers` slots are held (a run that
+    /// finds a slot free starts at once and takes no capacity). A run
+    /// beyond them is rejected with `overloaded`.
     pub queue_capacity: usize,
     /// In-memory LRU capacity for loaded graphs.
     pub graph_lru: usize,
@@ -83,7 +85,7 @@ pub struct ServeConfig {
     /// byte arrives for this long, the connection is closed (read-timeout).
     pub read_timeout: Duration,
     /// Budget for each reply write: a client that stops reading cannot pin
-    /// a worker past this (write-timeout close).
+    /// its handler past this (write-timeout close).
     pub write_timeout: Duration,
     /// Total budget for one request frame, first byte to last. Bounds
     /// slow-loris drip-feeds that stay under the per-read quiet period.
@@ -125,122 +127,109 @@ impl Default for ServeConfig {
     }
 }
 
-/// Why [`BoundedQueue::try_push`] refused a job.
-enum PushError {
-    /// The queue is at capacity — reply `overloaded`.
+/// Why [`Gate::enter`] refused a run.
+enum Refused {
+    /// `queue_capacity` runs already wait — reply `overloaded`.
     Full,
     /// The service is draining — reply `shutting-down`.
     Draining,
 }
 
-/// One queued run: the request plus the channel its handler waits on.
-struct QueuedRun {
-    request: RunRequest,
-    enqueued_at: Instant,
-    reply: mpsc::Sender<Response>,
-}
-
-/// The bounded request queue: `Mutex` + `Condvar`. `try_push` never
-/// blocks (backpressure is a rejection, not a wait); `pop` blocks until
-/// work arrives or shutdown has drained the queue.
-struct BoundedQueue {
-    state: Mutex<QueueState>,
+/// The admission gate: at most `slots` runs execute at once, each on its
+/// own connection's handler thread, and at most `capacity` more wait for a
+/// slot. `enter` refuses without waiting (backpressure is a rejection, not
+/// a wait) and grants slots in arrival order.
+struct Gate {
+    state: Mutex<GateState>,
+    /// Notified when a finishing run hands its slot to the next ticket.
+    turn: Condvar,
+    slots: usize,
     capacity: usize,
-    available: Condvar,
 }
 
-/// Everything under the queue's mutex. `draining` lives here, not in an
-/// atomic beside it: a popper checks it and starts waiting under one lock,
-/// so `drain`'s wake-up cannot fall between the check and the wait, and no
-/// push can land after the workers have seen the queue drained.
-struct QueueState {
-    jobs: VecDeque<QueuedRun>,
-    draining: bool,
-    /// Workers waiting in `pop`. The first `idle` jobs are already theirs,
-    /// so they take no capacity and are no backlog.
-    idle: usize,
-    /// Jobs popped and not yet [`finish`](BoundedQueue::finish)ed.
+/// Everything under the gate's mutex. A finishing run hands its slot
+/// straight to the oldest waiter, so runs wait only while every slot is
+/// held, and a run that finds a slot free has nobody to pass.
+#[derive(Default)]
+struct GateState {
+    /// Runs holding a slot.
     running: usize,
+    /// Runs holding a ticket, waiting for a slot.
+    waiting: usize,
+    /// Tickets granted a slot so far; the next waiter's ticket is
+    /// `granted + waiting`.
+    granted: u64,
+    /// Set by `drain`: every later `enter` is refused.
+    draining: bool,
 }
 
-impl QueueState {
-    /// Jobs that no idle worker is about to take.
-    fn backlog(&self) -> usize {
-        self.jobs.len().saturating_sub(self.idle)
-    }
-}
-
-impl BoundedQueue {
-    fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                draining: false,
-                idle: 0,
-                running: 0,
-            }),
+impl Gate {
+    fn new(slots: usize, capacity: usize) -> Self {
+        Gate {
+            state: Mutex::new(GateState::default()),
+            turn: Condvar::new(),
+            slots: slots.max(1),
             capacity: capacity.max(1),
-            available: Condvar::new(),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, GateState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enqueues unless full or draining; on `Err` the job (and its reply
-    /// sender) is dropped and the caller answers the client directly.
-    fn try_push(&self, job: QueuedRun) -> Result<(), PushError> {
-        let mut q = self.lock();
-        if q.draining {
-            return Err(PushError::Draining);
+    /// Admits one run: at once when a slot is free, otherwise after every
+    /// run that is already waiting. Dropping the returned slot ends the run.
+    fn enter(&self) -> Result<Slot<'_>, Refused> {
+        let mut g = self.lock();
+        if g.draining {
+            return Err(Refused::Draining);
         }
-        if q.backlog() >= self.capacity {
-            return Err(PushError::Full);
+        if g.running < self.slots {
+            g.running += 1;
+            return Ok(Slot(self));
         }
-        q.jobs.push_back(job);
-        drop(q);
-        self.available.notify_one();
-        Ok(())
+        if g.waiting >= self.capacity {
+            return Err(Refused::Full);
+        }
+        let ticket = g.granted + g.waiting as u64;
+        g.waiting += 1;
+        while g.granted <= ticket {
+            g = self.turn.wait(g).unwrap_or_else(PoisonError::into_inner);
+        }
+        Ok(Slot(self))
     }
 
-    /// Blocks for the next job, which counts as running until `finish`;
-    /// `None` once draining *and* empty.
-    fn pop(&self) -> Option<QueuedRun> {
-        let mut q = self.lock();
-        loop {
-            if let Some(job) = q.jobs.pop_front() {
-                q.running += 1;
-                return Some(job);
-            }
-            if q.draining {
-                return None;
-            }
-            q.idle += 1;
-            q = self.available.wait(q).unwrap_or_else(PoisonError::into_inner);
-            q.idle -= 1;
-        }
-    }
-
-    /// Ends a popped job's run.
-    fn finish(&self) {
-        self.lock().running -= 1;
-    }
-
-    /// Stops accepting pushes; wakes all poppers so they can drain and exit.
+    /// Refuses every later `enter`; runs already waiting keep their turn.
     fn drain(&self) {
         self.lock().draining = true;
-        self.available.notify_all();
     }
 
-    /// Queued plus running jobs.
+    /// Waiting plus running runs.
     fn depth(&self) -> usize {
-        let q = self.lock();
-        q.jobs.len() + q.running
+        let g = self.lock();
+        g.waiting + g.running
     }
 
+    /// Runs waiting for a slot.
     fn backlog(&self) -> usize {
-        self.lock().backlog()
+        self.lock().waiting
+    }
+}
+
+/// One held execution slot of a [`Gate`].
+struct Slot<'a>(&'a Gate);
+
+impl Drop for Slot<'_> {
+    /// Hands the slot to the oldest waiting run, or frees it.
+    fn drop(&mut self) {
+        let mut g = self.0.lock();
+        if g.waiting == 0 {
+            g.running -= 1;
+            return;
+        }
+        g.waiting -= 1;
+        g.granted += 1;
+        self.0.turn.notify_all();
     }
 }
 
@@ -269,10 +258,10 @@ pub struct Server {
     stop: AcceptStop,
 }
 
-/// Shared state visible to handlers and workers.
+/// Shared state visible to every connection handler.
 struct Shared {
     store: ArtifactStore,
-    queue: BoundedQueue,
+    gate: Gate,
     counters: Counters,
     /// Request-key dedup, strict LRU by last use (see [`DedupEntry`]).
     dedup: Memo<String, DedupEntry>,
@@ -314,13 +303,13 @@ impl Shared {
     }
 
     /// Whether degraded mode is shedding right now: windowed queue-wait p95
-    /// over threshold *and* a backlog still queued (an empty queue means
+    /// over threshold *and* runs still waiting (an empty wait line means
     /// the congestion cleared, so stale window samples must not wedge the
     /// service in degraded mode).
     fn shedding(&self) -> bool {
         match self.cfg.shed_queue_wait {
             Some(threshold) => {
-                self.queue.backlog() > 0
+                self.gate.backlog() > 0
                     && self.windowed_queue_wait_p95() >= threshold.as_micros() as u64
             }
             None => false,
@@ -345,7 +334,7 @@ impl Shared {
             uptime_secs: self.started.elapsed().as_secs(),
             workers: self.cfg.workers as u64,
             queue_capacity: self.cfg.queue_capacity as u64,
-            queue_depth: self.queue.depth() as u64,
+            queue_depth: self.gate.depth() as u64,
             requests: self.counters.snapshot(),
             closes: self.counters.closes(),
             artifacts: self.store.counters(),
@@ -456,8 +445,8 @@ impl Server {
 
     /// Runs the service until shutdown; returns the final stats snapshot.
     ///
-    /// Worker and handler threads are scoped, so returning proves every
-    /// in-flight request was drained and replied to.
+    /// Handler threads are scoped, so returning proves every accepted
+    /// request was drained and replied to.
     pub fn run(self) -> io::Result<StatsReport> {
         let disk = match &self.cfg.cache_dir {
             Some(dir) => match PreprocessCache::new(dir) {
@@ -484,7 +473,7 @@ impl Server {
         };
         let shared = Shared {
             store: ArtifactStore::new(self.cfg.graph_lru, self.cfg.oag_lru, disk),
-            queue: BoundedQueue::new(self.cfg.queue_capacity),
+            gate: Gate::new(self.cfg.workers, self.cfg.queue_capacity),
             counters: Counters::new(),
             dedup: Memo::new(self.cfg.dedup_capacity),
             prepare_latency: LatencyHistogram::new(),
@@ -499,9 +488,6 @@ impl Server {
         };
         let shared = &shared;
         std::thread::scope(|scope| {
-            for _ in 0..self.cfg.workers.max(1) {
-                scope.spawn(move || worker_loop(shared));
-            }
             // Accept loop: blocks in `accept` until the stop wakes it. The
             // waking connection never reaches the cap check or a handler.
             for mut stream in shared.stop.incoming(&self.listener) {
@@ -528,33 +514,17 @@ impl Server {
                     shared.active_connections.fetch_sub(1, Ordering::SeqCst);
                 });
             }
-            // Drain: no new pushes; workers finish queued + in-flight jobs.
-            shared.queue.drain();
+            // Drain: refuse new runs. The scope then joins every handler, so
+            // each run already executing or waiting finishes and replies.
+            shared.gate.drain();
         });
         Ok(shared.stats())
     }
 }
 
-/// Worker: pops queued runs until the queue reports drained-and-empty.
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop() {
-        shared.record_queue_wait(job.enqueued_at.elapsed().as_micros() as u64);
-        let response = execute_isolated(&job.request, shared);
-        match &response {
-            Response::Run(_) => shared.counters.on_ok(),
-            _ => shared.counters.on_failed(),
-        }
-        shared.total_latency.record(job.enqueued_at.elapsed().as_micros() as u64);
-        // Finished before the reply leaves: a client holding its reply never
-        // sees its own run in `queue_depth`.
-        shared.queue.finish();
-        // A dropped receiver means the client hung up; nothing to do.
-        let _ = job.reply.send(response);
-    }
-}
-
 /// Executes one run with panic isolation: a simulator bug becomes a typed
-/// `internal-panic` error on this request, never a dead worker.
+/// `internal-panic` error on this request, never a dead handler or a slot
+/// that is not handed on.
 fn execute_isolated(request: &RunRequest, shared: &Shared) -> Response {
     match catch_unwind(AssertUnwindSafe(|| execute_run(request, shared))) {
         Ok(response) => response,
@@ -836,8 +806,8 @@ impl Read for DeadlineReader<'_> {
     }
 }
 
-/// Routes one request: `Run` through the bounded queue, everything else
-/// answered inline.
+/// Routes one request: `Run` executes here once the gate admits it,
+/// everything else is answered at once.
 fn dispatch(request: Request, shared: &Shared) -> Response {
     match request {
         Request::Ping => Response::Pong,
@@ -853,7 +823,7 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                     message: "service is draining; not accepting new runs".into(),
                 };
             }
-            // Degraded mode: shed before touching dedup or the queue so a
+            // Degraded mode: shed before touching dedup or the gate so a
             // congested service answers in microseconds, not queue waits.
             if shared.shedding() {
                 shared.counters.on_shed();
@@ -891,21 +861,26 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                 }
                 None => None,
             };
-            let (tx, rx) = mpsc::channel();
-            let job = QueuedRun { request: run, enqueued_at: Instant::now(), reply: tx };
-            let response = match shared.queue.try_push(job) {
-                Ok(()) => match rx.recv() {
-                    Ok(response) => response,
-                    Err(_) => Response::Error {
-                        kind: ErrorKind::InternalPanic,
-                        message: "worker dropped the reply channel".into(),
-                    },
-                },
-                Err(PushError::Draining) => Response::Error {
+            let entered = Instant::now();
+            let response = match shared.gate.enter() {
+                Ok(slot) => {
+                    shared.record_queue_wait(entered.elapsed().as_micros() as u64);
+                    let response = execute_isolated(&run, shared);
+                    match &response {
+                        Response::Run(_) => shared.counters.on_ok(),
+                        _ => shared.counters.on_failed(),
+                    }
+                    shared.total_latency.record(entered.elapsed().as_micros() as u64);
+                    // Handed on before the reply leaves: a client holding its
+                    // reply never sees its own run in `queue_depth`.
+                    drop(slot);
+                    response
+                }
+                Err(Refused::Draining) => Response::Error {
                     kind: ErrorKind::ShuttingDown,
                     message: "service is draining; not accepting new runs".into(),
                 },
-                Err(PushError::Full) => {
+                Err(Refused::Full) => {
                     shared.counters.on_rejected();
                     Response::Overloaded {
                         queue_capacity: shared.cfg.queue_capacity as u64,

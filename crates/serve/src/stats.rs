@@ -1,7 +1,7 @@
 //! Service-side statistics: lock-free counters and a log-bucketed latency
 //! histogram with percentile extraction.
 //!
-//! Everything here is updated from worker and handler threads with relaxed
+//! Everything here is updated from connection handler threads with relaxed
 //! atomics — stats are monitoring data, not synchronization — and read out
 //! as one [`StatsReport`](crate::StatsReport) snapshot by the `stats` request handler.
 

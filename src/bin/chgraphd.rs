@@ -5,16 +5,18 @@
 //! ```
 //!
 //! Accepts run requests (dataset × algorithm × runtime × configuration)
-//! over the `chg_serve` protocol, executes them on a bounded worker pool,
+//! over the `chg_serve` protocol, executes each on its connection's thread,
 //! and keeps hot prepared artifacts in an in-memory LRU backed by the
 //! on-disk preprocess cache. `chgraph-cli submit` / `serve-stats` are the
-//! matching clients. A missing OAG pair is built serially on the worker
-//! that first requests it; `--workers` is the daemon's only parallelism.
-//! Any flag the usage text does not list is rejected with the usage and
-//! a non-zero exit.
+//! matching clients. At most `--workers` runs execute at once; up to
+//! `--queue` more wait for a slot in arrival order, and a run beyond them is
+//! answered `overloaded`. A missing OAG pair is built serially by the run
+//! that first requests it, so `--workers` bounds the daemon's simulation
+//! parallelism. Any flag the usage text does not list is rejected with
+//! the usage and a non-zero exit.
 //!
-//! SIGINT and SIGTERM trigger a graceful drain: intake stops, queued and
-//! in-flight runs finish and reply, and the process exits 0. A protocol
+//! SIGINT and SIGTERM trigger a graceful drain: intake stops, waiting and
+//! executing runs finish and reply, and the process exits 0. A protocol
 //! `shutdown` request does the same (the script-friendly path).
 
 use chg_serve::{ServeConfig, Server};
@@ -67,8 +69,8 @@ fn install_signals() -> std::io::Result<UnixStream> {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  chgraphd [--addr <host:port>]   (default 127.0.0.1:7411; port 0 = ephemeral)\n\
-         \x20          [--workers <n>]         (default 2)\n\
-         \x20          [--queue <n>]           (bounded queue capacity, default 16)\n\
+         \x20          [--workers <n>]         (runs executed at once, default 2)\n\
+         \x20          [--queue <n>]           (runs that may wait for a slot, default 16)\n\
          \x20          [--graph-lru <n>]       (resident graphs, default 8)\n\
          \x20          [--oag-lru <n>]         (resident prepared-OAG pairs, default 8)\n\
          \x20          [--cache-dir <dir>]     (on-disk preprocess cache; off by default)\n\

@@ -7,7 +7,9 @@
 //!   increments, no rebuild),
 //! - a served result is byte-identical to direct library execution,
 //! - a full queue yields a structured `overloaded` rejection, not a hang,
-//! - shutdown drains in-flight requests and replies to all of them.
+//! - waiting runs are admitted in arrival order,
+//! - shutdown drains in-flight and waiting requests and replies to all of
+//!   them.
 
 use chg_bench::faultutil::{Fault, FaultReader};
 use chg_serve::proto::{self, fingerprint_report};
@@ -160,6 +162,46 @@ fn full_queue_rejects_with_overloaded() {
     handle.join().expect("server thread").expect("clean exit");
 }
 
+#[test]
+fn queued_runs_are_admitted_in_arrival_order() {
+    // One slot, room for two waiters: A executes while B and C wait, in
+    // that order. Each run is heavy, so a later run admitted first would
+    // finish first.
+    let cfg = ServeConfig { workers: 1, queue_capacity: 2, ..ServeConfig::default() };
+    let (addr, handle) = start(cfg);
+    connect(addr).run(base_request()).expect("warmup");
+
+    let heavy = || {
+        let mut req = base_request();
+        req.repeat = 120;
+        req
+    };
+    let (done, finished) = mpsc::channel();
+    std::thread::scope(|s| {
+        for (name, depth) in [("A", 1), ("B", 2), ("C", 3)] {
+            let done = done.clone();
+            s.spawn(move || {
+                let reply = connect(addr).run(heavy());
+                done.send((name, reply)).expect("collector alive");
+            });
+            wait_stats(addr, &format!("{name} admitted or waiting"), |st| st.queue_depth == depth);
+        }
+    });
+    drop(done);
+    let order: Vec<&str> = finished
+        .iter()
+        .map(|(name, reply)| {
+            reply.unwrap_or_else(|e| panic!("{name} must complete: {e:?}"));
+            name
+        })
+        .collect();
+    assert_eq!(order, ["A", "B", "C"], "slots are granted in arrival order");
+
+    let mut closer = connect(addr);
+    closer.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean exit");
+}
+
 // ---------------------------------------------------------------------------
 // (d): shutdown drains in-flight work
 // ---------------------------------------------------------------------------
@@ -195,6 +237,32 @@ fn shutdown_drains_in_flight_requests() {
         Client::connect(addr).and_then(|mut c| c.ping()).is_err(),
         "a drained server must not accept new work"
     );
+}
+
+#[test]
+fn shutdown_serves_runs_already_waiting() {
+    let (addr, handle) = start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    connect(addr).run(base_request()).expect("warmup");
+
+    let heavy = || {
+        let mut req = base_request();
+        req.repeat = 120;
+        req
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(move || connect(addr).run(heavy()));
+        wait_stats(addr, "A in flight", |st| st.queue_depth == 1);
+        let b = s.spawn(move || connect(addr).run(heavy()));
+        wait_stats(addr, "B waiting behind A", |st| st.queue_depth == 2);
+        // Drain with A executing and B still waiting for the one slot.
+        connect(addr).shutdown().expect("shutdown ack");
+        (a.join().expect("A thread"), b.join().expect("B thread"))
+    });
+    let (a, b) = (a.expect("in-flight run must succeed"), b.expect("waiting run must succeed"));
+    assert_eq!(a.fingerprint, b.fingerprint, "A and B are the same request");
+
+    let stats = handle.join().expect("server thread").expect("clean exit");
+    assert!(stats.requests.ok >= 3, "warmup + A + B: {:?}", stats.requests);
 }
 
 #[test]
